@@ -19,7 +19,7 @@
 //! bootstrap). `flap` runs the kill/restart chaos campaign under
 //! heartbeat-probe faults.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use wave_fleet::router::Router;
 use wave_serve::client::{ClientError, TcpClient};
 use wave_serve::codec::Request;
 use wave_serve::engine::{Engine, EngineOptions};
-use wave_serve::server::Server;
+use wave_serve::server::{write_line, Server};
 
 const DEFAULT_FRONT_ADDR: &str = "127.0.0.1:7979";
 
@@ -129,6 +129,7 @@ fn cmd_up(args: &[String]) -> Result<(), String> {
 /// `verify` routed by content fingerprint, `stats` answered with the
 /// fleet aggregate.
 fn serve_front_conn(stream: TcpStream, router: &Router) {
+    let _ = stream.set_nodelay(true);
     let Ok(peer) = stream.try_clone() else { return };
     let reader = BufReader::new(peer);
     let mut writer = stream;
@@ -169,10 +170,9 @@ fn serve_front_conn(stream: TcpStream, router: &Router) {
                 wave_serve::json::Json::Str(e.to_string()).encode()
             ),
         };
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if write_line(&mut writer, &reply).is_err() {
             return;
         }
-        let _ = writer.flush();
     }
 }
 

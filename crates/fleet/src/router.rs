@@ -9,9 +9,13 @@
 //!
 //! # Failure model
 //!
-//! A forward that fails at the transport level (dead socket, timeout,
-//! EOF mid-frame) is retried once on a fresh connection; if the node
-//! still does not answer it is **marked dead**: removed from the ring
+//! Forwards travel over pooled sessions ([`SessionPool`]). A reused
+//! session that fails at the transport level is first retried on a
+//! fresh connection, so a socket that went stale while idle never
+//! counts against the node. A forward that fails at the transport
+//! level on a fresh connection (dead socket, timeout, EOF mid-frame)
+//! is retried once more; if the node still does not answer it is
+//! **marked dead**: removed from the ring
 //! (epoch bump), its journal replayed to the survivors (every completed
 //! result it had persisted is re-installed through the validating
 //! replication path), and the request fails over to the new owner.
@@ -45,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use wave_serve::client::{ClientError, RetryPolicy, TcpClient, VerifyReply};
+use wave_serve::client::{ClientError, RetryPolicy, SessionPool, TcpClient, VerifyReply};
 use wave_serve::codec::VerifyRequest;
 use wave_serve::faults::{Fault, Faults, Hook};
 use wave_serve::view::{MemberInfo, MemberView};
@@ -102,6 +106,10 @@ pub struct Router {
     faults: Faults,
     read_timeout: Duration,
     retry: RetryPolicy,
+    /// Idle sessions for forwards. Membership changes purge the
+    /// address they touch; probes, view pushes, replays and stats
+    /// always open a fresh connection.
+    sessions: SessionPool,
     /// Monotonic counters for fleet stats.
     pub counters: RouterCounters,
 }
@@ -112,6 +120,7 @@ impl Router {
     pub fn new(nodes: Vec<NodeHandle>, faults: Faults) -> Router {
         let ring = Ring::new(nodes.iter().map(|n| n.id));
         let nodes = nodes.into_iter().map(|n| (n.id, n)).collect();
+        let read_timeout = Duration::from_secs(30);
         Router {
             state: Mutex::new(RouterState {
                 ring,
@@ -120,7 +129,7 @@ impl Router {
                 dead: HashSet::new(),
             }),
             faults,
-            read_timeout: Duration::from_secs(30),
+            read_timeout,
             retry: RetryPolicy {
                 max_attempts: 2,
                 base: Duration::from_millis(20),
@@ -128,6 +137,7 @@ impl Router {
                 budget: Duration::from_secs(2),
                 seed: 0x666c_6565, // "flee(t)"
             },
+            sessions: SessionPool::new(read_timeout),
             counters: RouterCounters::default(),
         }
     }
@@ -138,6 +148,11 @@ impl Router {
         let mut out: Vec<NodeHandle> = st.nodes.values().cloned().collect();
         out.sort_by_key(|n| n.id);
         out
+    }
+
+    /// The forwarding session pool (idle-session counts per address).
+    pub fn sessions(&self) -> &SessionPool {
+        &self.sessions
     }
 
     /// The current ring epoch (bumped by every membership change).
@@ -260,6 +275,9 @@ impl Router {
                 .collect();
             (st.nodes.contains_key(&handle.id), peers)
         };
+        // Whatever listened at the joiner's address before is not the
+        // joiner: forwards to it start on fresh connections.
+        self.sessions.purge(handle.addr);
         // Step 1: replay every peer's journal into the joiner, keeping
         // the cursor each replay reached.
         let mut cursors: Vec<(PathBuf, wave_serve::cache::JournalCursor)> = Vec::new();
@@ -357,7 +375,10 @@ impl Router {
                 _ => {}
             }
             self.counters.forwards.fetch_add(1, Ordering::Relaxed);
-            match TcpClient::verify_with_retry(target.addr, self.read_timeout, req, &self.retry) {
+            match self
+                .sessions
+                .verify_with_retry(target.addr, req, &self.retry)
+            {
                 Ok(reply) => return Ok(reply),
                 // Transport-dead after retries: declare the node dead,
                 // replay its journal, fail over to the successor.
@@ -407,6 +428,9 @@ impl Router {
             let Some(handle) = st.nodes.remove(&id) else {
                 return;
             };
+            // A retired in-process node keeps listening: an idle
+            // session would still reach its engine.
+            self.sessions.purge(handle.addr);
             st.ring.remove_node(id);
             st.suspects.remove(&id);
             st.dead.insert(id);

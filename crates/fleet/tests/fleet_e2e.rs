@@ -18,8 +18,10 @@ use wave_chaos::plane::ChaosPlane;
 use wave_fleet::heartbeat::HeartbeatOptions;
 use wave_fleet::local::{FleetOptions, LocalFleet, ProcessFleet};
 use wave_serve::client::{RoutedClient, TcpClient};
-use wave_serve::codec::{Mode, VerifyRequest};
+use wave_serve::codec::{verdict_to_json, Mode, VerifyRequest};
 use wave_serve::faults::Faults;
+use wave_serve::json::Json;
+use wave_verifier::symbolic::{verify_ltl, SymbolicOptions};
 
 /// Structurally distinct LTL properties over the `toggle` service's
 /// propositions — each is one distinct content fingerprint.
@@ -463,11 +465,29 @@ fn health_and_members_round_trip_over_live_tcp() {
     }
 }
 
+/// An outcome's bytes without its one wall-clock field: the verdict
+/// object and every counting field of `stats`, which a cold run on any
+/// node reproduces exactly.
+fn without_wall_time(outcome_text: &str) -> String {
+    let mut outcome = Json::parse(outcome_text).expect("outcome bytes are JSON");
+    if let Json::Obj(fields) = &mut outcome {
+        for (key, value) in fields.iter_mut() {
+            if let (true, Json::Obj(stats)) = (key == "stats", value) {
+                stats.retain(|(k, _)| k != "search_wall_us");
+            }
+        }
+    }
+    outcome.encode()
+}
+
 #[test]
 fn soft_partition_chaos_never_changes_a_verdict() {
     // Dropped and delayed forwards/ships at the fleet hooks: requests
-    // may fail over to non-owners (extra cold runs are allowed), but
-    // every answer must still be the correct, byte-identical verdict.
+    // may fail over to non-owners, which verify cold (extra cold runs
+    // are allowed). Every answer must still be the correct verdict:
+    // the verdict and the search counters byte-identical across
+    // rounds, the verdict equal to a from-scratch run. Only
+    // `search_wall_us` may differ, since a failover re-runs the search.
     let plane = Arc::new(ChaosPlane::new(Plan::Partition, 0xF1EE7));
     let fleet = LocalFleet::launch(
         3,
@@ -479,6 +499,7 @@ fn soft_partition_chaos_never_changes_a_verdict() {
     )
     .expect("launch");
 
+    let toggle = wave_serve::registry::resolve("toggle").expect("toggle is registered");
     let mut first: Vec<String> = Vec::new();
     for round in 0..3 {
         for (i, f) in formulas().iter().enumerate() {
@@ -486,11 +507,20 @@ fn soft_partition_chaos_never_changes_a_verdict() {
                 .router()
                 .submit(&request(f))
                 .expect("partitioned verify must still answer");
+            let served = without_wall_time(&reply.outcome_text);
             if round == 0 {
-                first.push(reply.outcome_text.clone());
+                let property = wave_logic::parser::parse_property(f).expect("formula parses");
+                let fresh = verify_ltl(&toggle, &property, &SymbolicOptions::default())
+                    .expect("from-scratch verify");
+                assert_eq!(
+                    verdict_to_json(&reply.outcome.verdict).encode(),
+                    verdict_to_json(&fresh.verdict).encode(),
+                    "{f}: the served verdict differs from a from-scratch run"
+                );
+                first.push(served);
             } else {
                 assert_eq!(
-                    reply.outcome_text, first[i],
+                    served, first[i],
                     "{f} verdict drifted under partition chaos"
                 );
             }

@@ -126,10 +126,17 @@ pub struct CampaignReport {
     pub cold_runs: u64,
     /// Cache hits, fleet-wide.
     pub cache_hits: u64,
+    /// Submissions answered from the incremental verdict tier,
+    /// fleet-wide.
+    pub incremental_hits: u64,
     /// Submissions answered by joining an in-flight run, fleet-wide.
     pub coalesced: u64,
     /// Cancelled (deadline) verdicts, fleet-wide.
     pub cancelled: u64,
+    /// Submissions whose deadline expired before admission, fleet-wide.
+    pub dead_on_arrival: u64,
+    /// Submissions refused (inadmissible, draining or shed), fleet-wide.
+    pub refused: u64,
     /// Replicated results installed, fleet-wide.
     pub replicated_applied: u64,
     /// Requests the router re-routed (dead or partitioned owner).
@@ -154,7 +161,8 @@ impl CampaignReport {
                 "\"rps_target\":{:.1},\"wall_s\":{:.3},\"throughput_rps\":{:.1},",
                 "\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{},",
                 "\"errors\":{},\"cold_runs\":{},\"cache_hits\":{},",
-                "\"coalesced\":{},\"cancelled\":{},\"replicated_applied\":{},",
+                "\"incremental_hits\":{},\"coalesced\":{},\"cancelled\":{},",
+                "\"dead_on_arrival\":{},\"refused\":{},\"replicated_applied\":{},",
                 "\"failovers\":{},\"single_verification_ok\":{},",
                 "\"retired_node\":{},\"churn\":{}}}"
             ),
@@ -173,8 +181,11 @@ impl CampaignReport {
             self.errors,
             self.cold_runs,
             self.cache_hits,
+            self.incremental_hits,
             self.coalesced,
             self.cancelled,
+            self.dead_on_arrival,
+            self.refused,
             self.replicated_applied,
             self.failovers,
             self.single_verification_ok,
@@ -314,12 +325,17 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
     } else {
         None
     };
+    // The re-join replaces the retired node's engine in the fleet; keep
+    // it, since it answered every request before (and in flight at)
+    // the retirement.
+    let mut retired_engines = Vec::new();
     // The churn drill continues where the retirement left off: the
     // node re-joins mid-load, and the window from kill to completed
     // re-join is measured against steady state.
     let churn_window = match (opts.churn, retired_node) {
         (true, Some(id)) => {
             let window_start_us = schedule[opts.submissions / 2].offset_us;
+            retired_engines.push(Arc::clone(&fleet.engines()[id as usize]));
             fleet.rejoin(id).expect("mid-campaign re-join");
             Some((id, window_start_us, start.elapsed().as_micros() as u64))
         }
@@ -359,7 +375,12 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
     latencies.sort_unstable();
 
     let sum = |f: fn(&wave_serve::engine::Counters) -> u64| -> u64 {
-        fleet.engines().iter().map(|e| f(&e.counters)).sum()
+        fleet
+            .engines()
+            .iter()
+            .chain(&retired_engines)
+            .map(|e| f(&e.counters))
+            .sum()
     };
     let cold_runs = sum(|c| c.cache_misses.load(Ordering::Relaxed));
     let cancelled = sum(|c| c.cancelled.load(Ordering::Relaxed));
@@ -380,8 +401,15 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
         errors,
         cold_runs,
         cache_hits: sum(|c| c.cache_hits.load(Ordering::Relaxed)),
+        incremental_hits: sum(|c| c.incremental_hits.load(Ordering::Relaxed)),
         coalesced: sum(|c| c.coalesced.load(Ordering::Relaxed)),
         cancelled,
+        dead_on_arrival: sum(|c| c.dead_on_arrival.load(Ordering::Relaxed)),
+        refused: sum(|c| {
+            c.admission_rejections.load(Ordering::Relaxed)
+                + c.drain_rejections.load(Ordering::Relaxed)
+                + c.load_shed.load(Ordering::Relaxed)
+        }),
         replicated_applied: sum(|c| c.replicated_applied.load(Ordering::Relaxed)),
         failovers,
         single_verification_ok: cold_runs <= distinct as u64 + cancelled + failovers,
@@ -469,5 +497,34 @@ mod tests {
         );
         let json = report.encode();
         assert!(json.contains("\"churn\":{\"node\":2,"), "{json}");
+    }
+
+    #[test]
+    fn churn_campaign_accounts_for_every_submission() {
+        // The re-join replaces the retired engine; its counters must
+        // still be summed. Without deadlines nothing is cancelled, so
+        // every submission is exactly one outcome on exactly one engine.
+        let report = run(&CampaignOptions {
+            nodes: 3,
+            submissions: 400,
+            rps: 1_000.0,
+            corpus_size: 40,
+            zipf_s: 1.0,
+            workers: 8,
+            seed: 0xACC0,
+            deadline_fraction: 0.0,
+            churn: true,
+            ..CampaignOptions::default()
+        });
+        let accounted = report.cache_hits
+            + report.incremental_hits
+            + report.coalesced
+            + report.cold_runs
+            + report.cancelled
+            + report.dead_on_arrival
+            + report.refused
+            + report.errors;
+        assert_eq!(accounted, report.submissions as u64, "{report:?}");
+        assert_eq!(report.cold_runs, report.distinct as u64, "{report:?}");
     }
 }

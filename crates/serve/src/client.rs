@@ -20,10 +20,15 @@
 //!   are idempotent: the engine keys them by canonical fingerprint, so
 //!   a duplicate submit is a cache hit replaying byte-identical
 //!   outcome bytes, never a second divergent answer.
+//!
+//! Forwarders do not open a connection per request: [`SessionPool`]
+//! keeps idle sessions per node address and reuses them under the rules
+//! documented there.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use wave_logic::fingerprint::Fingerprint;
@@ -33,7 +38,7 @@ use wave_verifier::symbolic::VerifyOutcome;
 use crate::codec::{outcome_from_json, Request, VerifyRequest};
 use crate::engine::Engine;
 use crate::json::Json;
-use crate::server::handle_line;
+use crate::server::{handle_line, write_line};
 
 /// Default per-read timeout for TCP sessions.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
@@ -410,6 +415,9 @@ impl TcpClient {
     ) -> std::io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(read_timeout))?;
+        // Requests are whole lines written at once (see
+        // `server::write_line`); Nagle would only delay them.
+        stream.set_nodelay(true)?;
         Ok(TcpClient {
             stream,
             pending: Vec::new(),
@@ -429,9 +437,7 @@ impl TcpClient {
                 "session broken by an earlier timeout; reconnect".into(),
             ));
         }
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        write_line(&mut self.stream, line)?;
         loop {
             // A complete line may already be buffered (servers may batch
             // multiple responses into one segment).
@@ -632,6 +638,126 @@ impl TcpClient {
     }
 }
 
+/// Idle sessions a [`SessionPool`] keeps per address. A session that
+/// finishes while its address already holds this many is closed.
+pub const IDLE_SESSIONS_PER_ADDR: usize = 4;
+
+/// Idle TCP sessions to forward verifies over, keyed by node address:
+/// the one session-reuse implementation behind `Router::submit` and
+/// [`RoutedClient::verify`]. A connection per request costs a
+/// handshake, a server thread and a teardown, several times the price
+/// of a cache hit.
+///
+/// Reuse rules:
+///
+/// * a session goes back to the pool only after a **complete reply
+///   line** — an answer or a typed refusal (`wrong_shard`, overload,
+///   draining) alike. A session that saw a transport error or a
+///   timeout is dropped: a late reply would desync it;
+/// * a **reused** session that fails at the transport level was most
+///   likely closed by the peer while it sat idle, so the request is
+///   retried once on a fresh connection (and the address's other idle
+///   sessions, likely just as stale, are closed). Only a fresh
+///   connection's failure reaches the caller, so a stale socket never
+///   passes for a dead node. Retrying is safe because verifies are
+///   idempotent by fingerprint;
+/// * owners [`purge`](SessionPool::purge) an address when its
+///   membership changes: a retired in-process node keeps listening, so
+///   a leftover session would still reach the retired engine.
+///
+/// Liveness probes must not come from here: a probe has to show that
+/// the listener accepts, not that an old socket still answers.
+pub struct SessionPool {
+    read_timeout: Duration,
+    idle: Mutex<HashMap<SocketAddr, Vec<TcpClient>>>,
+}
+
+impl SessionPool {
+    /// An empty pool whose sessions use `read_timeout` per read.
+    pub fn new(read_timeout: Duration) -> SessionPool {
+        SessionPool {
+            read_timeout,
+            idle: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Runs one verify request at `addr` over an idle session when one
+    /// is pooled, a fresh connection otherwise (see the reuse rules).
+    pub fn verify(
+        &self,
+        addr: SocketAddr,
+        req: &VerifyRequest,
+    ) -> Result<VerifyReply, ClientError> {
+        let line = Request::Verify(req.clone()).encode();
+        if let Some(mut session) = self.take(addr) {
+            match session.round_trip(&line) {
+                Ok(reply) => {
+                    self.put(addr, session);
+                    return decode_verify_line(&reply);
+                }
+                Err(ClientError::Io(_)) => self.purge(addr),
+                Err(e) => return Err(e),
+            }
+        }
+        let mut session = TcpClient::connect_timeout(addr, self.read_timeout)?;
+        let reply = session.round_trip(&line)?;
+        self.put(addr, session);
+        decode_verify_line(&reply)
+    }
+
+    /// [`TcpClient::verify_with_retry`] over pooled sessions: the same
+    /// retry loop, each attempt made by [`SessionPool::verify`].
+    pub fn verify_with_retry(
+        &self,
+        addr: SocketAddr,
+        req: &VerifyRequest,
+        policy: &RetryPolicy,
+    ) -> Result<VerifyReply, ClientError> {
+        retry_loop(policy, false, |_| self.verify(addr, req))
+    }
+
+    /// Closes every idle session to `addr`.
+    pub fn purge(&self, addr: SocketAddr) {
+        self.idle
+            .lock()
+            .expect("session pool poisoned")
+            .remove(&addr);
+    }
+
+    /// Closes the idle sessions of every address `keep` rejects.
+    pub fn retain(&self, keep: impl Fn(&SocketAddr) -> bool) {
+        self.idle
+            .lock()
+            .expect("session pool poisoned")
+            .retain(|addr, _| keep(addr));
+    }
+
+    /// Idle sessions pooled for `addr`.
+    pub fn idle(&self, addr: SocketAddr) -> usize {
+        self.idle
+            .lock()
+            .expect("session pool poisoned")
+            .get(&addr)
+            .map_or(0, Vec::len)
+    }
+
+    fn take(&self, addr: SocketAddr) -> Option<TcpClient> {
+        self.idle
+            .lock()
+            .expect("session pool poisoned")
+            .get_mut(&addr)?
+            .pop()
+    }
+
+    fn put(&self, addr: SocketAddr, session: TcpClient) {
+        let mut idle = self.idle.lock().expect("session pool poisoned");
+        let slot = idle.entry(addr).or_default();
+        if slot.len() < IDLE_SESSIONS_PER_ADDR {
+            slot.push(session);
+        }
+    }
+}
+
 /// A decoded `health` reply — the heartbeat plane's observation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthReply {
@@ -671,6 +797,8 @@ pub struct RoutedClient {
     read_timeout: Duration,
     retry: RetryPolicy,
     view: Option<(crate::view::MemberView, crate::ring::Ring)>,
+    /// Sessions to the members, reused across checked attempts.
+    sessions: SessionPool,
 }
 
 impl RoutedClient {
@@ -681,12 +809,14 @@ impl RoutedClient {
             read_timeout: DEFAULT_READ_TIMEOUT,
             retry: RetryPolicy::default(),
             view: None,
+            sessions: SessionPool::new(DEFAULT_READ_TIMEOUT),
         }
     }
 
     /// Sets the per-read timeout used for every connection.
     pub fn with_read_timeout(mut self, timeout: Duration) -> RoutedClient {
         self.read_timeout = timeout;
+        self.sessions = SessionPool::new(timeout);
         self
     }
 
@@ -734,6 +864,10 @@ impl RoutedClient {
             Some(view) => {
                 let epoch = view.epoch;
                 let ring = view.ring();
+                // Sessions to addresses that left the view would only
+                // ever reach a departed node.
+                self.sessions
+                    .retain(|addr| view.members.iter().any(|m| m.addr == *addr));
                 self.view = Some((view, ring));
                 Ok(epoch)
             }
@@ -764,10 +898,7 @@ impl RoutedClient {
                 break;
             };
             let held_epoch = view.epoch;
-            match TcpClient::connect_timeout(addr, self.read_timeout)
-                .map_err(ClientError::Io)
-                .and_then(|mut c| c.verify(&checked))
-            {
+            match self.sessions.verify(addr, &checked) {
                 Ok(reply) => return Ok(reply),
                 Err(ClientError::WrongShard { epoch, .. }) => {
                     // The refuser's view disagrees with ours. Refreshing

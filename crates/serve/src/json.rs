@@ -12,9 +12,16 @@
 //!   yields identical bytes (the cache's byte-identity guarantee rests
 //!   on this);
 //! * the parser accepts any standard JSON with integer numbers
-//!   (duplicate keys keep the first occurrence on lookup).
+//!   (duplicate keys keep the first occurrence on lookup) nested at most
+//!   [`MAX_DEPTH`] arrays/objects deep. It recurses once per level, so
+//!   the cap is what keeps a hostile line of `[[[[…` a typed error
+//!   instead of a stack overflow that aborts the whole process.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol's
+/// own documents nest under a dozen levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,7 +131,11 @@ impl Json {
     /// non-whitespace is an error).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -182,6 +193,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,8 +232,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::at(
+                        self.pos,
+                        format!("nesting deeper than {MAX_DEPTH} levels"),
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(JsonError::at(
                 self.pos,
@@ -405,6 +432,24 @@ mod tests {
             Json::Int(i64::MIN)
         );
         assert!(Json::parse("9223372036854775808").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Objects count toward the same cap.
+        let objs = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objs).is_err());
+        // 100 KB of `[` used to overflow the stack and abort.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

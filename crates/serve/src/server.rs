@@ -355,11 +355,24 @@ impl Server {
     }
 }
 
+/// Writes `line` and its newline in **one** `write_all`. Split into two
+/// writes, the newline waits on a reused session: Nagle's algorithm
+/// holds the small second segment until the peer ACKs the first, and
+/// the peer delays that ACK by up to tens of milliseconds.
+pub fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)
+}
+
 fn serve_connection(stream: TcpStream, engine: &Engine) {
-    let Ok(writer) = stream.try_clone() else {
+    // Replies are whole lines written at once; nothing is gained by
+    // holding a segment back, and a pooled client session waits on it.
+    let _ = stream.set_nodelay(true);
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = writer;
     let reader = BufReader::new(stream);
     let faults = engine.faults().clone();
     for line in reader.lines() {
@@ -391,10 +404,7 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
             }
             _ => {}
         }
-        if writeln!(writer, "{response}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if write_line(&mut writer, &response).is_err() {
             return;
         }
     }
@@ -443,6 +453,26 @@ mod tests {
             r.get("class").unwrap().as_str(),
             Some("fully_propositional")
         );
+    }
+
+    #[test]
+    fn hostile_nesting_gets_an_error_line_not_an_abort() {
+        let e = Engine::new(EngineOptions::default());
+        let r = Json::parse(&handle_line(&e, &"[".repeat(100_000))).unwrap();
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
+        assert!(r
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("nesting"));
+        // A nested request object is refused the same way.
+        let line = format!(
+            r#"{{"cmd":"verify","service":"toggle","property":"G P","x":{}}}"#,
+            "[".repeat(200) + &"]".repeat(200)
+        );
+        let r = Json::parse(&handle_line(&e, &line)).unwrap();
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
     }
 
     #[test]

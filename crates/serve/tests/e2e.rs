@@ -227,3 +227,47 @@ fn worker_pool_size_never_changes_the_deterministic_outcome() {
         );
     }
 }
+
+#[test]
+fn one_session_serves_100_round_trips_without_nagle_stalls() {
+    // A line and its newline in two writes meet Nagle's algorithm and
+    // delayed ACK on a reused session: each round trip then waits tens
+    // of milliseconds for an ACK. Framed in one write, 100 round trips
+    // on one session take a few milliseconds.
+    let mut client = spawn_server(EngineOptions::default());
+    let req = request("toggle", "G (P | Q)");
+    client.verify(&req).expect("cold verify");
+    let started = std::time::Instant::now();
+    for i in 0..100 {
+        if i % 2 == 0 {
+            client.stats().expect("stats on a reused session");
+        } else {
+            let reply = client.verify(&req).expect("hit on a reused session");
+            assert!(reply.cache_hit);
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "100 round trips on one session took {took:?}"
+    );
+}
+
+#[test]
+fn hostile_nesting_is_refused_and_the_server_keeps_serving() {
+    // 100 KB of `[` once overflowed the recursive JSON parser's stack
+    // and aborted the process, taking every session on the node down.
+    let mut client = spawn_server(EngineOptions::default());
+    let line = client
+        .round_trip(&"[".repeat(100_000))
+        .expect("a typed error line, not a dead server");
+    let reply = wave_serve::json::Json::parse(&line).expect("the error line is JSON");
+    assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert!(line.contains("nesting"), "{line}");
+    // The same session and the server keep serving.
+    client.stats().expect("stats after the hostile line");
+    let reply = client
+        .verify(&request("toggle", "G (P | Q)"))
+        .expect("verify after the hostile line");
+    assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+}
