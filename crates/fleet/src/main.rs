@@ -19,7 +19,7 @@
 //! bootstrap). `flap` runs the kill/restart chaos campaign under
 //! heartbeat-probe faults.
 
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use wave_fleet::router::Router;
 use wave_serve::client::{ClientError, TcpClient};
 use wave_serve::codec::Request;
 use wave_serve::engine::{Engine, EngineOptions};
-use wave_serve::server::{write_line, Server};
+use wave_serve::server::{read_request_line, refuse_long_line, write_line, LineRead, Server};
 
 const DEFAULT_FRONT_ADDR: &str = "127.0.0.1:7979";
 
@@ -131,14 +131,22 @@ fn cmd_up(args: &[String]) -> Result<(), String> {
 fn serve_front_conn(stream: TcpStream, router: &Router) {
     let _ = stream.set_nodelay(true);
     let Ok(peer) = stream.try_clone() else { return };
-    let reader = BufReader::new(peer);
+    let mut reader = BufReader::new(peer);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf) {
+            LineRead::Line(line) => line,
+            LineRead::End => return,
+            LineRead::TooLong => {
+                refuse_long_line(&mut reader, &mut writer);
+                return;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match Request::decode(&line) {
+        let reply = match Request::decode(line) {
             Ok(Request::Verify(req)) => match router.submit(&req) {
                 Ok(r) => format!(
                     concat!(

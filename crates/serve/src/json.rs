@@ -132,6 +132,7 @@ impl Json {
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
         let mut p = Parser {
+            src,
             bytes,
             pos: 0,
             depth: 0,
@@ -191,6 +192,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The input; `bytes` is its byte view.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -317,14 +320,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the input `&str` and needs no
+                    // re-validation: the scan is linear in the string.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -450,6 +454,26 @@ mod tests {
         assert!(Json::parse(&objs).is_err());
         // 100 KB of `[` used to overflow the stack and abort.
         assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character used to re-validate the whole remaining input
+        // as UTF-8, so a 1 MB literal took minutes. Non-ASCII text and
+        // escapes must survive the run-at-a-time copy.
+        let text = "héllo ✶ 日本 \"q\" \\ \t 🎉 ".repeat(1 << 15);
+        assert!(text.len() > 1_000_000);
+        let v = Json::Obj(vec![("s".into(), Json::str(text.as_str()))]);
+        let enc = v.encode();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&enc).unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "1 MB string took {took:?}"
+        );
+        assert_eq!(parsed, v);
+        assert_eq!(parsed.get("s").unwrap().as_str(), Some(text.as_str()));
     }
 
     #[test]

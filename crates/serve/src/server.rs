@@ -6,8 +6,8 @@
 //! engine's worker pool, not by connection count), so a slow client
 //! cannot stall another client's session.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,6 +17,19 @@ use crate::engine::Engine;
 use crate::faults::{Fault, Hook};
 use crate::json::Json;
 use crate::registry;
+
+/// Longest request line a connection accepts, newline excluded. The
+/// largest legitimate request — a replicated journal record carrying a
+/// long counterexample — stays orders of magnitude below it. A longer
+/// line gets a typed `line_too_long` refusal and the connection closes.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// After refusing an oversized line the server discards at most this
+/// much more of it, waiting at most [`DRAIN_TIMEOUT`] per read, before it
+/// closes: closing with unread input would reset the connection and
+/// could destroy the refusal before the client reads it.
+const DRAIN_BYTES: u64 = 64 << 20;
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Computes the single response line (no trailing newline) for one
 /// request line. Shared by the TCP server and the in-process client, so
@@ -373,10 +386,18 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let faults = engine.faults().clone();
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf) {
+            LineRead::Line(line) => line,
+            LineRead::End => return,
+            LineRead::TooLong => {
+                refuse_long_line(&mut reader, &mut writer);
+                return;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -388,7 +409,7 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
             Fault::Drop => return,
             _ => {}
         }
-        let response = handle_line(engine, &line);
+        let response = handle_line(engine, line);
         // Write-side hook: chaos can stall, cut, or tear the response.
         // A torn response is an incomplete line with the connection
         // closed — the client sees EOF/garbage, never a plausible but
@@ -408,6 +429,68 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
             return;
         }
     }
+}
+
+/// The outcome of [`read_request_line`].
+pub enum LineRead<'b> {
+    /// A complete line, newline (and a trailing `\r`) stripped. The
+    /// final line of a stream may lack its newline.
+    Line(&'b str),
+    /// End of stream, a read error, or a line that is not UTF-8: the
+    /// session is over.
+    End,
+    /// The line is longer than [`MAX_LINE_BYTES`]; answer with
+    /// [`refuse_long_line`].
+    TooLong,
+}
+
+/// Reads the next request line into `buf`, which the caller reuses for
+/// the whole session: a read never takes more than the cap plus one
+/// byte, so no line can grow the buffer past that.
+pub fn read_request_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> LineRead<'b> {
+    buf.clear();
+    match reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)
+    {
+        Ok(0) | Err(_) => return LineRead::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return LineRead::TooLong;
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => LineRead::Line(line),
+        Err(_) => LineRead::End,
+    }
+}
+
+/// Answers an oversized request line with a typed refusal, then closes
+/// the write side and discards the rest of the line (bounded in bytes
+/// and time) so the client reads the refusal and a clean end of stream.
+pub fn refuse_long_line(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
+    let reply = Json::Obj(vec![
+        ("ok".into(), Json::Bool(false)),
+        ("kind".into(), Json::str("line_too_long")),
+        (
+            "error".into(),
+            Json::str(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+            )),
+        ),
+    ])
+    .encode();
+    if write_line(writer, &reply).is_err() {
+        return;
+    }
+    let _ = writer.shutdown(Shutdown::Write);
+    let _ = reader.get_ref().set_read_timeout(Some(DRAIN_TIMEOUT));
+    let _ = reader.by_ref().take(DRAIN_BYTES).skip_until(b'\n');
 }
 
 #[cfg(test)]

@@ -6,15 +6,19 @@
 //!   return identical verdicts, the second as a cache hit;
 //! * a 1 ms-deadline job on the full demo site returns `Cancelled`
 //!   without hanging or panicking, and the worker pool keeps serving;
-//! * worker-pool size (1/2/8) never changes the response bytes.
+//! * worker-pool size (1/2/8) never changes the response bytes;
+//! * hostile input (deep nesting, a multi-MB line) gets a typed refusal
+//!   and the server keeps serving.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use wave_serve::client::{LocalClient, TcpClient};
 use wave_serve::codec::{Mode, VerifyRequest};
 use wave_serve::engine::{Engine, EngineOptions};
-use wave_serve::server::Server;
+use wave_serve::server::{Server, MAX_LINE_BYTES};
 use wave_verifier::symbolic::Verdict;
 
 const FIG2_PROPERTY: &str = "forall p . G (!ship(p) | paid)";
@@ -36,13 +40,19 @@ fn request(service: &str, property: &str) -> VerifyRequest {
     }
 }
 
-/// Starts a server on an ephemeral port and returns a connected client.
-/// The accept-loop thread is detached; it dies with the test process.
-fn spawn_server(opts: EngineOptions) -> TcpClient {
+/// Starts a server on an ephemeral port and returns its address. The
+/// accept-loop thread is detached; it dies with the test process.
+fn spawn_server_addr(opts: EngineOptions) -> SocketAddr {
     let engine = Arc::new(Engine::new(opts));
     let server = Server::bind("127.0.0.1:0", engine).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     std::thread::spawn(move || server.run());
+    addr
+}
+
+/// Starts a server on an ephemeral port and returns a connected client.
+fn spawn_server(opts: EngineOptions) -> TcpClient {
+    let addr = spawn_server_addr(opts);
     // The listener is already bound, so connect cannot race the accept
     // loop; retry briefly anyway to be robust on slow machines.
     for _ in 0..50 {
@@ -270,4 +280,52 @@ fn hostile_nesting_is_refused_and_the_server_keeps_serving() {
         .verify(&request("toggle", "G (P | Q)"))
         .expect("verify after the hostile line");
     assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+}
+
+#[test]
+fn oversized_line_is_refused_and_the_server_keeps_serving() {
+    // Request lines used to be read unbounded: a sender could grow one
+    // connection's buffer as far as it liked.
+    let addr = spawn_server_addr(EngineOptions::default());
+    let mut bystander = TcpClient::connect(addr).expect("connect");
+    bystander.stats().expect("stats before the hostile line");
+
+    // A line exactly at the cap is read and answered like any other
+    // malformed request, on a session that stays open.
+    let mut at_cap = TcpClient::connect(addr).expect("connect");
+    let line = at_cap
+        .round_trip(&"x".repeat(MAX_LINE_BYTES))
+        .expect("a line at the cap is answered");
+    assert!(!line.contains("line_too_long"), "{line}");
+    at_cap.stats().expect("the at-cap session keeps serving");
+
+    // A multi-MB line gets the typed refusal, then a clean end of stream.
+    let mut hostile = TcpStream::connect(addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut payload = "[".repeat(3 * MAX_LINE_BYTES);
+    payload.push('\n');
+    hostile
+        .write_all(payload.as_bytes())
+        .expect("the server drains the rest of the line");
+    let mut reply = String::new();
+    hostile
+        .read_to_string(&mut reply)
+        .expect("refusal then EOF, not a reset");
+    let parsed = wave_serve::json::Json::parse(reply.trim_end()).expect("the refusal is JSON");
+    assert_eq!(parsed.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        parsed.get("kind").and_then(|v| v.as_str()),
+        Some("line_too_long"),
+        "{reply}"
+    );
+
+    // Other sessions, old and new, keep being served.
+    let reply = bystander
+        .verify(&request("toggle", "G (P | Q)"))
+        .expect("verify on the bystander session");
+    assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+    let mut fresh = TcpClient::connect(addr).expect("the server still accepts");
+    fresh.stats().expect("stats on a fresh session");
 }

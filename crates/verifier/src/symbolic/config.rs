@@ -6,22 +6,27 @@
 //! `C`, and carrying the accumulated database knowledge ([`SymState`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use wave_core::service::Service;
+use std::sync::Arc;
 
 use super::bits::CBits;
 use super::state::{Assumption, SymState};
-use super::table::{CSym, CTable, Sym};
+use super::table::{CSym, CTable, NameId, Sym};
 
-/// A fact of a state or action relation restricted to `C` (canonical
-/// representatives).
-pub type CFact = (String, Vec<CSym>);
+/// A fact of a state or action relation restricted to `C` (interned
+/// relation name, canonical representatives).
+pub type CFact = (NameId, Vec<CSym>);
 
 /// A symbolic configuration.
+///
+/// Page and relation names are interned [`NameId`]s, which follow name
+/// order, so the derived ordering is the ordering over names. The
+/// knowledge store is shared copy-on-write: configurations derived from
+/// one another point at the same [`SymState`] until one of them learns
+/// something new ([`SymConfig::assert`]).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SymConfig {
     /// Current page (or the error page).
-    pub page: String,
+    pub page: NameId,
     /// Input constants provided so far (original symbol ids), packed into
     /// a bitset: the set is monotone and probed on every letter check.
     pub provided: CBits,
@@ -31,11 +36,12 @@ pub struct SymConfig {
     pub action: BTreeSet<CFact>,
     /// Current inputs: chosen tuple per input relation (empty vec for a
     /// true propositional input). Absent = no choice / false.
-    pub inputs: BTreeMap<String, Vec<Sym>>,
-    /// Previous inputs (`prev_I` values).
-    pub prev: BTreeMap<String, Vec<Sym>>,
-    /// Database knowledge accumulated along this path.
-    pub st: SymState,
+    pub inputs: BTreeMap<NameId, Vec<Sym>>,
+    /// Previous inputs (`prev_I` values), keyed by the input relation.
+    pub prev: BTreeMap<NameId, Vec<Sym>>,
+    /// Database knowledge accumulated along this path (shared; mutate
+    /// only through `Arc::make_mut`).
+    pub st: Arc<SymState>,
     /// Number of live fresh symbols (ids `0..n_fresh`).
     pub n_fresh: u16,
     /// Error conditions (i)/(ii) observed at this page: the next
@@ -45,15 +51,15 @@ pub struct SymConfig {
 
 impl SymConfig {
     /// The initial configuration (home page, empty everything).
-    pub fn initial(service: &Service, table: &CTable) -> SymConfig {
+    pub fn initial(table: &CTable) -> SymConfig {
         SymConfig {
-            page: service.home.clone(),
+            page: table.home(),
             provided: CBits::new(),
             state: BTreeSet::new(),
             action: BTreeSet::new(),
             inputs: BTreeMap::new(),
             prev: BTreeMap::new(),
-            st: SymState::new(table.len()),
+            st: Arc::new(SymState::new(table.len())),
             n_fresh: 0,
             err_pending: false,
         }
@@ -62,15 +68,15 @@ impl SymConfig {
     /// The error-page successor: the run loops there forever; database
     /// knowledge and provided constants are kept so letters stay
     /// consistent, everything else empties (Definition 2.3).
-    pub fn to_error(&self, service: &Service) -> SymConfig {
+    pub fn to_error(&self, table: &CTable) -> SymConfig {
         SymConfig {
-            page: service.error_page.clone(),
+            page: table.error_page(),
             provided: self.provided.clone(),
             state: BTreeSet::new(),
             action: BTreeSet::new(),
             inputs: BTreeMap::new(),
             prev: BTreeMap::new(),
-            st: self.st.clone(),
+            st: Arc::clone(&self.st),
             n_fresh: 0,
             err_pending: false,
         }
@@ -90,24 +96,24 @@ impl SymConfig {
     /// conflict. Equality merges re-canonicalize state/action facts and
     /// check that the merge does not contradict previously *computed*
     /// state/action content (two tuples collapsing must have agreed).
-    pub fn assert(&self, table: &CTable, a: &Assumption, val: bool) -> Option<SymConfig> {
-        let mut next = self.clone();
-        next.st.assert(table, a, val).ok()?;
-        if let (Assumption::EqC(..), true) = (a, val) {
-            next.state = recanon_facts(&self.state, &self.st, &next.st)?;
-            next.action = recanon_facts(&self.action, &self.st, &next.st)?;
-            next.inputs = self
-                .inputs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.iter().map(|&s| next.st.canon(s)).collect()))
-                .collect();
-            next.prev = self
-                .prev
-                .iter()
-                .map(|(k, v)| (k.clone(), v.iter().map(|&s| next.st.canon(s)).collect()))
-                .collect();
+    ///
+    /// Takes the configuration by value: the store is copied only when
+    /// another configuration still shares it.
+    pub fn assert(mut self, table: &CTable, a: &Assumption, val: bool) -> Option<SymConfig> {
+        let merge = matches!((a, val), (Assumption::EqC(..), true));
+        let old = merge.then(|| Arc::clone(&self.st));
+        Arc::make_mut(&mut self.st).assert(table, a, val).ok()?;
+        if let Some(old) = old {
+            self.state = recanon_facts(&self.state, &old, &self.st)?;
+            self.action = recanon_facts(&self.action, &old, &self.st)?;
+            let st = &self.st;
+            for tuple in self.inputs.values_mut().chain(self.prev.values_mut()) {
+                for s in tuple.iter_mut() {
+                    *s = st.canon(*s);
+                }
+            }
         }
-        Some(next)
+        Some(self)
     }
 
     /// Whether an input constant has been provided, by *any* symbol of its
@@ -127,14 +133,15 @@ impl SymConfig {
 
     /// Renders a short human-readable description.
     pub fn render(&self, table: &CTable) -> String {
-        let mut parts = vec![format!("page={}", self.page)];
+        let mut parts = vec![format!("page={}", table.name(self.page))];
         if !self.inputs.is_empty() {
             let ins: Vec<String> = self
                 .inputs
                 .iter()
-                .map(|(rel, t)| {
+                .map(|(&rel, t)| {
+                    let rel = table.name(rel);
                     if t.is_empty() {
-                        rel.clone()
+                        rel.to_string()
                     } else {
                         format!(
                             "{rel}({})",
@@ -152,9 +159,10 @@ impl SymConfig {
             let sts: Vec<String> = self
                 .state
                 .iter()
-                .map(|(rel, t)| {
+                .map(|&(rel, ref t)| {
+                    let rel = table.name(rel);
                     if t.is_empty() {
-                        rel.clone()
+                        rel.to_string()
                     } else {
                         format!(
                             "{rel}({})",
@@ -181,11 +189,11 @@ fn recanon_facts(
     new: &SymState,
 ) -> Option<BTreeSet<CFact>> {
     let mut out = BTreeSet::new();
-    for (rel, args) in facts {
+    let old_reps = old.reps();
+    for &(rel, ref args) in facts {
         let canon: Vec<CSym> = args.iter().map(|&c| new.find(c)).collect();
         // Every old-rep preimage tuple of `canon` must be a member.
         // Preimage components: old reps that now map to the same new rep.
-        let old_reps = old.reps();
         let mut preimages: Vec<Vec<CSym>> = vec![Vec::new()];
         for &target in &canon {
             let cands: Vec<CSym> = old_reps
@@ -204,11 +212,11 @@ fn recanon_facts(
             preimages = next;
         }
         for pre in preimages {
-            if !facts.contains(&(rel.clone(), pre)) {
+            if !facts.contains(&(rel, pre)) {
                 return None; // collapse inconsistency
             }
         }
-        out.insert((rel.clone(), canon));
+        out.insert((rel, canon));
     }
     Some(out)
 }
@@ -217,7 +225,12 @@ fn recanon_facts(
 mod tests {
     use super::*;
     use wave_core::builder::ServiceBuilder;
+    use wave_core::service::Service;
     use wave_logic::parser::parse_property;
+
+    fn id(t: &CTable, name: &str) -> NameId {
+        t.name_id(name).unwrap()
+    }
 
     fn setup() -> (Service, CTable) {
         let mut b = ServiceBuilder::new("P");
@@ -237,18 +250,18 @@ mod tests {
     #[test]
     fn initial_and_error() {
         let (s, t) = setup();
-        let c = SymConfig::initial(&s, &t);
-        assert_eq!(c.page, "P");
+        let c = SymConfig::initial(&t);
+        assert_eq!(c.page, id(&t, "P"));
         assert!(c.state.is_empty());
-        let e = c.to_error(&s);
-        assert_eq!(e.page, s.error_page);
+        let e = c.to_error(&t);
+        assert_eq!(e.page, id(&t, &s.error_page));
         assert!(e.inputs.is_empty());
     }
 
     #[test]
     fn live_syms_counts_reps_and_fresh() {
-        let (s, t) = setup();
-        let mut c = SymConfig::initial(&s, &t);
+        let (_, t) = setup();
+        let mut c = SymConfig::initial(&t);
         assert_eq!(c.live_syms().len(), t.len());
         c.n_fresh = 2;
         assert_eq!(c.live_syms().len(), t.len() + 2);
@@ -256,40 +269,44 @@ mod tests {
 
     #[test]
     fn assert_db_fact_branches_consistently() {
-        let (s, t) = setup();
-        let c = SymConfig::initial(&s, &t);
+        let (_, t) = setup();
+        let c = SymConfig::initial(&t);
+        let r = id(&t, "r");
         let a = Assumption::DbFact {
-            rel: "r".into(),
+            rel: r,
             args: vec![Sym::C(0)],
         };
-        let c_true = c.assert(&t, &a, true).unwrap();
-        let c_false = c.assert(&t, &a, false).unwrap();
-        assert_eq!(c_true.st.fact_status("r", &[Sym::C(0)]), Some(true));
-        assert_eq!(c_false.st.fact_status("r", &[Sym::C(0)]), Some(false));
+        let c_true = c.clone().assert(&t, &a, true).unwrap();
+        let c_false = c.clone().assert(&t, &a, false).unwrap();
+        assert_eq!(c_true.st.fact_status(r, &[Sym::C(0)]), Some(true));
+        assert_eq!(c_false.st.fact_status(r, &[Sym::C(0)]), Some(false));
+        // The source configuration's shared store is untouched.
+        assert_eq!(c.st.fact_status(r, &[Sym::C(0)]), None);
         // Re-asserting the opposite conflicts.
         assert!(c_true.assert(&t, &a, false).is_none());
     }
 
     #[test]
     fn merge_collapse_inconsistency_detected() {
-        let (s, t) = setup();
-        let mut c = SymConfig::initial(&s, &t);
+        let (_, t) = setup();
+        let mut c = SymConfig::initial(&t);
         let w1 = t.witness_sym("w1").unwrap();
         let w2 = t.witness_sym("w2").unwrap();
         // state s holds of w1 but not of w2: merging w1=w2 must fail.
-        c.state.insert(("s".into(), vec![w1]));
-        let merged = c.assert(&t, &Assumption::EqC(w1, w2), true);
+        let st = id(&t, "s");
+        c.state.insert((st, vec![w1]));
+        let merged = c.clone().assert(&t, &Assumption::EqC(w1, w2), true);
         assert!(merged.is_none(), "collapse inconsistency must be caught");
         // but if s holds of both, the merge succeeds and dedups.
-        c.state.insert(("s".into(), vec![w2]));
+        c.state.insert((st, vec![w2]));
         let merged2 = c.assert(&t, &Assumption::EqC(w1, w2), true).unwrap();
         assert_eq!(merged2.state.len(), 1);
     }
 
     #[test]
     fn provided_gate() {
-        let (s, t) = setup();
-        let mut c = SymConfig::initial(&s, &t);
+        let (_, t) = setup();
+        let mut c = SymConfig::initial(&t);
         let name = t.const_sym("name").unwrap();
         let consts: BTreeSet<String> = ["name".to_string()].into();
         assert!(!c.all_provided(&t, &consts));
@@ -299,10 +316,10 @@ mod tests {
 
     #[test]
     fn render_is_stable() {
-        let (s, t) = setup();
-        let mut c = SymConfig::initial(&s, &t);
-        c.inputs.insert("i".into(), vec![Sym::F(0)]);
-        c.state.insert(("s".into(), vec![0]));
+        let (_, t) = setup();
+        let mut c = SymConfig::initial(&t);
+        c.inputs.insert(id(&t, "i"), vec![Sym::F(0)]);
+        c.state.insert((id(&t, "s"), vec![0]));
         let r = c.render(&t);
         assert!(r.contains("page=P"));
         assert!(r.contains("i(✶0)"));

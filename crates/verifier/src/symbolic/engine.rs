@@ -34,6 +34,15 @@
 //! is always produced by the same sequential nested DFS over the same
 //! deterministically ordered successor lists, so outcomes are
 //! **byte-identical for every thread count**.
+//!
+//! # Sharing, not copying
+//!
+//! Each successor configuration is allocated once, behind an `Arc`, when
+//! its predecessor is expanded ([`SuccPairs`]). Product nodes, the memo
+//! keys, the interner, the prefetch tables and the red DFS all hold that
+//! one allocation and clone only the pointer. Inside successor
+//! generation the knowledge store is shared copy-on-write (see
+//! [`SymConfig`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -60,7 +69,7 @@ use crate::abstraction::{to_pnf, FoAbstraction};
 use super::config::SymConfig;
 use super::eval::{eval_branching, Ctx};
 use super::step::{initial_configs, successors};
-use super::table::{CTable, Sym};
+use super::table::{CSym, CTable, Sym};
 
 /// The node budget used when a caller passes the degenerate
 /// `node_limit == 0` (see [`SymbolicOptions::normalized`]).
@@ -263,8 +272,12 @@ impl VerifyOutcome {
 }
 
 /// Per-configuration memo value: the letter-annotated successor
-/// configurations, shared by every Büchi state.
-type SuccPairs = Vec<(SymConfig, PropSet)>;
+/// configurations, shared by every Büchi state. The sequential and the
+/// prefetching search both use it.
+type SuccPairs = Vec<(Arc<SymConfig>, PropSet)>;
+
+/// A product node: a shared configuration paired with a Büchi state.
+type Node = (Arc<SymConfig>, usize);
 
 /// The automaton-tier key for a property: a domain-tagged canonical
 /// fingerprint of exactly what the LTL→Büchi translation consumes.
@@ -347,27 +360,37 @@ pub fn verify_ltl(
         ephemeral: Vec::new(),
     };
 
+    // The input constants each FO component mentions (`None`: missing
+    // from `C`, so never provided).
+    let comp_inputs: Vec<Vec<Option<CSym>>> = table
+        .components
+        .iter()
+        .map(|comp| {
+            comp.constants_used()
+                .iter()
+                .filter(|c| service.schema.constant(c) == Some(ConstKind::Input))
+                .map(|c| ctable.const_sym(c))
+                .collect()
+        })
+        .collect();
+
     // Letter evaluation with branching: every branch yields a (config,
     // letter) pair. A component mentioning an unprovided input constant is
     // not satisfied (Definition 3.1's satisfaction condition). Pure in
     // `cfg`, so its results can be cached and computed on any thread.
-    let letters = |cfg: &SymConfig| -> SuccPairs {
-        let mut acc: SuccPairs = vec![(cfg.clone(), PropSet::new())];
+    let letters = |cfg: SymConfig| -> SuccPairs {
+        let mut acc: Vec<(SymConfig, PropSet)> = vec![(cfg, PropSet::new())];
         for (i, comp) in table.components.iter().enumerate() {
-            let mentions_unprovided = comp.constants_used().iter().any(|c| {
-                service.schema.constant(c) == Some(ConstKind::Input)
-                    && ctable
-                        .const_sym(c)
-                        .map(|s| !cfg.is_provided(s))
-                        .unwrap_or(true)
-            });
             let mut next = Vec::new();
             for (c, letter) in acc {
+                let mentions_unprovided = comp_inputs[i]
+                    .iter()
+                    .any(|s| s.is_none_or(|s| !c.is_provided(s)));
                 if mentions_unprovided {
                     next.push((c, letter));
                     continue;
                 }
-                let (evals, unprov) = eval_branching(&ctx, &c, &env, comp);
+                let (evals, unprov) = eval_branching(&ctx, c, &env, comp);
                 debug_assert!(!unprov, "provision pre-checked");
                 for (c2, v) in evals {
                     let mut l2 = letter.clone();
@@ -379,7 +402,7 @@ pub fn verify_ltl(
             }
             acc = next;
         }
-        acc
+        acc.into_iter().map(|(c, l)| (Arc::new(c), l)).collect()
     };
 
     // The expensive half of product successor generation, memoized per
@@ -387,30 +410,30 @@ pub fn verify_ltl(
     let expand = |cfg: &SymConfig| -> SuccPairs {
         let mut pairs = Vec::new();
         for s in successors(service, &ctable, cfg) {
-            pairs.extend(letters(&s));
+            pairs.extend(letters(s));
         }
         pairs
     };
 
     // Initial product nodes.
-    let mut inits: Vec<(SymConfig, usize)> = Vec::new();
+    let mut inits: Vec<Node> = Vec::new();
     for c0 in initial_configs(service, &ctable) {
-        for (c1, letter) in letters(&c0) {
+        for (c1, letter) in letters(c0) {
             for &q in &aut.initial {
                 if aut.guard[q].accepts(&letter) {
-                    inits.push((c1.clone(), q));
+                    inits.push((Arc::clone(&c1), q));
                 }
             }
         }
     }
 
     // Büchi product expansion of a memoized successor list.
-    let product = |pairs: &SuccPairs, q: usize| -> Vec<(SymConfig, usize)> {
+    let product = |pairs: &SuccPairs, q: usize| -> Vec<Node> {
         let mut out = Vec::new();
         for (s2, letter) in pairs {
             for &q2 in &aut.succ[q] {
                 if aut.guard[q2].accepts(letter) {
-                    out.push((s2.clone(), q2));
+                    out.push((Arc::clone(s2), q2));
                 }
             }
         }
@@ -427,15 +450,15 @@ pub fn verify_ltl(
     // (successor-list content order, never id or thread order) is
     // byte-identical for every worker count.
     let workers = opts.overlap_workers();
-    let accepting = |&(_, q): &(SymConfig, usize)| aut.accepting[q];
+    let accepting = |&(_, q): &Node| aut.accepting[q];
     let (result, stats) = if workers == 0 {
-        let mut memo: HashMap<SymConfig, Arc<SuccPairs>> = HashMap::new();
-        let succ = |(cfg, q): &(SymConfig, usize)| -> Vec<(SymConfig, usize)> {
+        let mut memo: HashMap<Arc<SymConfig>, Arc<SuccPairs>> = HashMap::new();
+        let succ = |(cfg, q): &Node| -> Vec<Node> {
             let pairs = match memo.get(cfg) {
                 Some(p) => p.clone(),
                 None => {
                     let p = Arc::new(expand(cfg));
-                    memo.insert(cfg.clone(), p.clone());
+                    memo.insert(Arc::clone(cfg), p.clone());
                     p
                 }
             };
@@ -446,14 +469,14 @@ pub fn verify_ltl(
         let shared = PrefetchShared::new(opts.node_limit);
         {
             let mut q = shared.queue.lock().expect("prefetch queue poisoned");
-            q.extend(inits.iter().map(|(c, _)| c.clone()));
+            q.extend(inits.iter().map(|(c, _)| Arc::clone(c)));
         }
         let mut prefetch_hits = 0u64;
         let (result, mut stats) = std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| shared.worker(&expand, &opts.cancel));
             }
-            let succ = |(cfg, q): &(SymConfig, usize)| -> Vec<(SymConfig, usize)> {
+            let succ = |(cfg, q): &Node| -> Vec<Node> {
                 let (pairs, by_worker) = shared.fetch_or_compute(cfg, &expand);
                 if by_worker {
                     prefetch_hits += 1;
@@ -503,10 +526,10 @@ struct Shard {
     /// successor list is computed twice by the *workers* (the search
     /// thread deliberately never waits on an in-flight claim — it
     /// recomputes, which is wasted work but never wasted wall time).
-    claimed: HashSet<SymConfig>,
+    claimed: HashSet<Arc<SymConfig>>,
     /// Published successor lists; the flag records whether a prefetch
     /// worker (true) or the search thread (false) computed the entry.
-    ready: HashMap<SymConfig, (Arc<SuccPairs>, bool)>,
+    ready: HashMap<Arc<SymConfig>, (Arc<SuccPairs>, bool)>,
 }
 
 /// State shared between the verdict-producing search thread and the
@@ -518,7 +541,7 @@ struct PrefetchShared {
     /// Work queue of configurations worth prefetching, fed by both the
     /// search thread (its discovered frontier) and the workers (their
     /// expansions' successors).
-    queue: Mutex<VecDeque<SymConfig>>,
+    queue: Mutex<VecDeque<Arc<SymConfig>>>,
     /// Wakes idle workers on new work or shutdown.
     wake: Condvar,
     /// Set once the search has its answer; workers drain out.
@@ -555,7 +578,7 @@ impl PrefetchShared {
     /// worker). The flag reports whether a worker supplied the entry.
     fn fetch_or_compute(
         &self,
-        cfg: &SymConfig,
+        cfg: &Arc<SymConfig>,
         expand: &(impl Fn(&SymConfig) -> SuccPairs + Sync),
     ) -> (Arc<SuccPairs>, bool) {
         if let Some(hit) = self
@@ -569,12 +592,12 @@ impl PrefetchShared {
         }
         let pairs = Arc::new(expand(cfg));
         let mut shard = self.shard_of(cfg).lock().expect("prefetch shard poisoned");
-        shard.claimed.insert(cfg.clone());
+        shard.claimed.insert(Arc::clone(cfg));
         // A worker may have published meanwhile; both values are
         // identical (pure function of the key), keep the first.
         let entry = shard
             .ready
-            .entry(cfg.clone())
+            .entry(Arc::clone(cfg))
             .or_insert((pairs, false))
             .clone();
         entry
@@ -587,7 +610,7 @@ impl PrefetchShared {
         for (c, _) in pairs {
             let shard = self.shard_of(c).lock().expect("prefetch shard poisoned");
             if !shard.claimed.contains(c) && !shard.ready.contains_key(c) {
-                fresh.push(c.clone());
+                fresh.push(Arc::clone(c));
             }
         }
         if !fresh.is_empty() {
@@ -632,7 +655,7 @@ impl PrefetchShared {
             };
             {
                 let mut shard = self.shard_of(&job).lock().expect("prefetch shard poisoned");
-                if shard.ready.contains_key(&job) || !shard.claimed.insert(job.clone()) {
+                if shard.ready.contains_key(&job) || !shard.claimed.insert(Arc::clone(&job)) {
                     continue; // another thread owns it
                 }
             }
@@ -713,14 +736,14 @@ pub fn is_error_free(
     };
     let t0 = Instant::now();
 
-    let mut interner: Interner<SymConfig> = Interner::new();
+    let mut interner: Interner<Arc<SymConfig>> = Interner::new();
     // BFS-tree parent of each interned config (None for initial ones).
     let mut parent: Vec<Option<u32>> = Vec::new();
     let mut frontier: Vec<u32> = Vec::new();
     let mut expanded = 0usize;
     let mut init_limit_hit = false;
     for c in initial_configs(service, &ctable) {
-        let (id, new) = interner.intern(c);
+        let (id, new) = interner.intern(Arc::new(c));
         if new {
             parent.push(None);
             frontier.push(id);
@@ -734,7 +757,7 @@ pub fn is_error_free(
     }
     let mut peak = frontier.len();
 
-    let stats = |interner: &Interner<SymConfig>, expanded: usize, peak: usize| SearchStats {
+    let stats = |interner: &Interner<Arc<SymConfig>>, expanded: usize, peak: usize| SearchStats {
         nodes_interned: interner.len(),
         dedup_hits: interner.dedup_hits(),
         successors_memoized: expanded,
@@ -751,7 +774,7 @@ pub fn is_error_free(
         sliced_relations: 0,
         incremental: false,
     };
-    let witness = |interner: &Interner<SymConfig>, parent: &[Option<u32>], id: u32| {
+    let witness = |interner: &Interner<Arc<SymConfig>>, parent: &[Option<u32>], id: u32| {
         let mut path = Vec::new();
         let mut cur = Some(id);
         while let Some(i) = cur {
@@ -767,7 +790,7 @@ pub fn is_error_free(
 
     // Initial configurations start on the home page, but stay defensive.
     for &id in &frontier {
-        if interner.get(id).page == service.error_page {
+        if interner.get(id).page == ctable.error_page() {
             return Ok(VerifyOutcome {
                 verdict: witness(&interner, &parent, id),
                 stats: stats(&interner, expanded, peak),
@@ -799,9 +822,9 @@ pub fn is_error_free(
                 stats: stats(&interner, expanded, peak),
             });
         }
-        let nodes: Vec<(u32, SymConfig)> = frontier
+        let nodes: Vec<(u32, Arc<SymConfig>)> = frontier
             .iter()
-            .map(|&id| (id, interner.get(id).clone()))
+            .map(|&id| (id, Arc::clone(interner.get(id))))
             .collect();
         expanded += nodes.len();
         // Successor computation is pure; fan the layer out to workers and
@@ -834,13 +857,13 @@ pub fn is_error_free(
         let mut next = Vec::new();
         for (pid, succs) in results.into_iter().flatten() {
             for s in succs {
-                let (id, new) = interner.intern(s);
+                let (id, new) = interner.intern(Arc::new(s));
                 if new {
                     parent.push(Some(pid));
                     // The witness check outranks the budget: an error
                     // page reached by the very node that exhausts the
                     // limit is still a definite answer.
-                    if interner.get(id).page == service.error_page {
+                    if interner.get(id).page == ctable.error_page() {
                         return Ok(VerifyOutcome {
                             verdict: witness(&interner, &parent, id),
                             stats: stats(&interner, expanded, peak),

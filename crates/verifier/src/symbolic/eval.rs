@@ -125,17 +125,15 @@ pub fn eval(ctx: &Ctx<'_>, cfg: &SymConfig, env: &BTreeMap<Var, Sym>, f: &Formul
             for a in args {
                 syms.push(resolve(ctx, cfg, env, a)?);
             }
-            let kind = ctx
-                .service
-                .schema
+            let (rel, kind) = ctx
+                .table
                 .relation(name)
-                .unwrap_or_else(|| panic!("relation `{name}` missing from schema"))
-                .kind;
+                .unwrap_or_else(|| panic!("relation `{name}` missing from schema"));
             match kind {
-                RelKind::Database => match cfg.st.fact_status(name, &syms) {
+                RelKind::Database => match cfg.st.fact_status(rel, &syms) {
                     Some(v) => Ok(v),
                     None => Err(EvalStop::Need(Assumption::DbFact {
-                        rel: name.clone(),
+                        rel,
                         args: syms.iter().map(|&s| cfg.st.canon(s)).collect(),
                     })),
                 },
@@ -149,20 +147,21 @@ pub fn eval(ctx: &Ctx<'_>, cfg: &SymConfig, env: &BTreeMap<Var, Sym>, f: &Formul
                             Sym::F(_) => return Ok(false),
                         }
                     }
-                    let key = (name.clone(), cs);
+                    let key = (rel, cs);
                     Ok(match kind {
                         RelKind::State => cfg.state.contains(&key),
                         _ => cfg.action.contains(&key),
                     })
                 }
-                RelKind::Input => tuple_match(ctx, cfg, cfg.inputs.get(name), &syms),
+                RelKind::Input => tuple_match(ctx, cfg, cfg.inputs.get(&rel), &syms),
                 RelKind::PrevInput => {
                     let base = name
                         .strip_prefix(wave_logic::schema::PREV_PREFIX)
-                        .expect("prev relation names carry the prefix");
-                    tuple_match(ctx, cfg, cfg.prev.get(base), &syms)
+                        .and_then(|base| ctx.table.name_id(base))
+                        .expect("prev relations name an interned input relation");
+                    tuple_match(ctx, cfg, cfg.prev.get(&base), &syms)
                 }
-                RelKind::Page => Ok(name == &cfg.page),
+                RelKind::Page => Ok(rel == cfg.page),
             }
         }
         Formula::Exists(vars, body) => quantify(ctx, cfg, env, vars, body, true),
@@ -279,26 +278,30 @@ fn is_free_witness(ctx: &Ctx<'_>, f: &Formula, var: &str) -> bool {
 
 /// Fully evaluates `f`, forking on needed assumptions. Returns every
 /// consistent branch with its truth value. `Unprovided` branches are
-/// returned separately so the caller can apply the right semantics
+/// reported separately so the caller can apply the right semantics
 /// (error page for rules, "not satisfied" for property components).
+///
+/// Takes the configuration by value: when nothing needs deciding — the
+/// common case — it comes back as the single branch without a copy.
 pub fn eval_branching(
     ctx: &Ctx<'_>,
-    cfg: &SymConfig,
+    cfg: SymConfig,
     env: &BTreeMap<Var, Sym>,
     f: &Formula,
 ) -> (Vec<(SymConfig, bool)>, bool) {
     let mut out = Vec::new();
     let mut unprovided = false;
-    let mut work = vec![cfg.clone()];
+    let mut work = vec![cfg];
     while let Some(c) = work.pop() {
         match eval(ctx, &c, env, f) {
             Ok(v) => out.push((c, v)),
             Err(EvalStop::Unprovided(_)) => unprovided = true,
             Err(EvalStop::Need(a)) => {
-                for val in [true, false] {
-                    if let Some(c2) = c.assert(ctx.table, &a, val) {
-                        work.push(c2);
-                    }
+                if let Some(c2) = c.clone().assert(ctx.table, &a, true) {
+                    work.push(c2);
+                }
+                if let Some(c2) = c.assert(ctx.table, &a, false) {
+                    work.push(c2);
                 }
             }
         }
@@ -342,9 +345,9 @@ mod tests {
     #[test]
     fn db_atom_branches_both_ways() {
         let (s, t) = setup();
-        let cfg = SymConfig::initial(&s, &t);
+        let cfg = SymConfig::initial(&t);
         let f = parse_fo("r(\"lit\")", &[]).unwrap();
-        let (branches, unprov) = eval_branching(&ctx(&s, &t), &cfg, &BTreeMap::new(), &f);
+        let (branches, unprov) = eval_branching(&ctx(&s, &t), cfg, &BTreeMap::new(), &f);
         assert!(!unprov);
         let vals: Vec<bool> = branches.iter().map(|(_, v)| *v).collect();
         assert!(vals.contains(&true) && vals.contains(&false));
@@ -354,7 +357,7 @@ mod tests {
     #[test]
     fn page_and_state_atoms_are_decided() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         let c = ctx(&s, &t);
         assert_eq!(
             eval(&c, &cfg, &BTreeMap::new(), &parse_fo("P", &[]).unwrap()),
@@ -364,7 +367,7 @@ mod tests {
             eval(&c, &cfg, &BTreeMap::new(), &parse_fo("flag", &[]).unwrap()),
             Ok(false)
         );
-        cfg.state.insert(("flag".into(), vec![]));
+        cfg.state.insert((t.name_id("flag").unwrap(), vec![]));
         assert_eq!(
             eval(&c, &cfg, &BTreeMap::new(), &parse_fo("flag", &[]).unwrap()),
             Ok(true)
@@ -374,9 +377,9 @@ mod tests {
     #[test]
     fn unprovided_constant_reported() {
         let (s, t) = setup();
-        let cfg = SymConfig::initial(&s, &t);
+        let cfg = SymConfig::initial(&t);
         let f = parse_fo("name = \"lit\"", &[]).unwrap();
-        let (branches, unprov) = eval_branching(&ctx(&s, &t), &cfg, &BTreeMap::new(), &f);
+        let (branches, unprov) = eval_branching(&ctx(&s, &t), cfg, &BTreeMap::new(), &f);
         assert!(unprov);
         assert!(branches.is_empty());
     }
@@ -384,10 +387,10 @@ mod tests {
     #[test]
     fn provided_constant_equality_branches() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         cfg.provided.insert(t.const_sym("name").unwrap());
         let f = parse_fo("name = \"lit\"", &[]).unwrap();
-        let (branches, unprov) = eval_branching(&ctx(&s, &t), &cfg, &BTreeMap::new(), &f);
+        let (branches, unprov) = eval_branching(&ctx(&s, &t), cfg, &BTreeMap::new(), &f);
         assert!(!unprov);
         assert_eq!(branches.len(), 2);
     }
@@ -395,25 +398,26 @@ mod tests {
     #[test]
     fn input_atom_matches_current_tuple() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         cfg.n_fresh = 1;
-        cfg.inputs.insert("i".into(), vec![Sym::F(0)]);
+        cfg.inputs.insert(t.name_id("i").unwrap(), vec![Sym::F(0)]);
         let c = ctx(&s, &t);
         // ∃x (i(x) ∧ x = "lit"): the fresh input is ≠ every C symbol.
         let f = parse_fo(r#"exists x . (i(x) & x = "lit")"#, &[]).unwrap();
         assert_eq!(eval(&c, &cfg, &BTreeMap::new(), &f), Ok(false));
         // With the input being the literal itself, it holds.
         let lit = t.literal_sym(&"lit".into()).unwrap();
-        cfg.inputs.insert("i".into(), vec![Sym::C(lit)]);
+        cfg.inputs
+            .insert(t.name_id("i").unwrap(), vec![Sym::C(lit)]);
         assert_eq!(eval(&c, &cfg, &BTreeMap::new(), &f), Ok(true));
     }
 
     #[test]
     fn prev_atom_reads_previous_tuple() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         cfg.n_fresh = 1;
-        cfg.prev.insert("i".into(), vec![Sym::F(0)]);
+        cfg.prev.insert(t.name_id("i").unwrap(), vec![Sym::F(0)]);
         let c = ctx(&s, &t);
         let f = parse_fo("exists x . prev_i(x)", &[]).unwrap();
         assert_eq!(eval(&c, &cfg, &BTreeMap::new(), &f), Ok(true));
@@ -424,14 +428,15 @@ mod tests {
     #[test]
     fn guarded_forall_over_inputs() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         let lit = t.literal_sym(&"lit".into()).unwrap();
-        cfg.inputs.insert("i".into(), vec![Sym::C(lit)]);
+        cfg.inputs
+            .insert(t.name_id("i").unwrap(), vec![Sym::C(lit)]);
         let c = ctx(&s, &t);
         let f = parse_fo(r#"forall x . (i(x) -> x = "lit")"#, &[]).unwrap();
         // The lazy evaluator may need equality guesses to see that every
         // case converges to true; all branches must agree.
-        let (branches, _) = eval_branching(&c, &cfg, &BTreeMap::new(), &f);
+        let (branches, _) = eval_branching(&c, cfg, &BTreeMap::new(), &f);
         assert!(!branches.is_empty());
         assert!(branches.iter().all(|(_, v)| *v));
     }
@@ -439,7 +444,7 @@ mod tests {
     #[test]
     fn witness_env_binding() {
         let (s, t) = setup();
-        let cfg = SymConfig::initial(&s, &t);
+        let cfg = SymConfig::initial(&t);
         let w = t.witness_sym("w").unwrap();
         let env: BTreeMap<Var, Sym> = [("w".to_string(), Sym::C(w))].into();
         let c = ctx(&s, &t);
@@ -450,14 +455,14 @@ mod tests {
     #[test]
     fn ephemeral_candidates_extend_quantifiers() {
         let (s, t) = setup();
-        let mut cfg = SymConfig::initial(&s, &t);
+        let mut cfg = SymConfig::initial(&t);
         cfg.n_fresh = 0;
         // edge(x, y) with both quantified: no live fresh, db unknown over
         // C-pairs → branching can find a true branch.
         let mut c = ctx(&s, &t);
         c.ephemeral = vec![Sym::F(10)];
         let f = parse_fo("exists x y . edge(x, y)", &[]).unwrap();
-        let (branches, _) = eval_branching(&c, &cfg, &BTreeMap::new(), &f);
+        let (branches, _) = eval_branching(&c, cfg, &BTreeMap::new(), &f);
         assert!(branches.iter().any(|(_, v)| *v));
         assert!(branches.iter().any(|(_, v)| !*v));
     }

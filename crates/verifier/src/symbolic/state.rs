@@ -16,15 +16,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::table::{CSym, CTable, Sym};
+use super::table::{CSym, CTable, NameId, Sym};
 
 /// An assumption the evaluator may need decided.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Assumption {
     /// Membership of a database tuple (args may include fresh symbols).
     DbFact {
-        /// Relation name.
-        rel: String,
+        /// Relation (interned name).
+        rel: NameId,
         /// Argument symbols.
         args: Vec<Sym>,
     },
@@ -50,10 +50,11 @@ pub struct SymState {
     parent: Vec<CSym>,
     /// Disequalities between canonical representatives.
     diseq: BTreeSet<(CSym, CSym)>,
-    /// Persistent database literals over canonical `C` tuples.
-    facts: BTreeMap<(String, Vec<CSym>), bool>,
+    /// Persistent database literals over canonical `C` tuples, keyed by
+    /// interned relation name.
+    facts: BTreeMap<(NameId, Vec<CSym>), bool>,
     /// Local literals involving at least one fresh symbol.
-    local: BTreeMap<(String, Vec<Sym>), bool>,
+    local: BTreeMap<(NameId, Vec<Sym>), bool>,
 }
 
 impl SymState {
@@ -153,20 +154,20 @@ impl SymState {
     }
 
     /// Status of a database literal: `Some(b)` when recorded.
-    pub fn fact_status(&self, rel: &str, args: &[Sym]) -> Option<bool> {
+    pub fn fact_status(&self, rel: NameId, args: &[Sym]) -> Option<bool> {
         let canon: Vec<Sym> = args.iter().map(|&s| self.canon(s)).collect();
         if let Some(cs) = all_c(&canon) {
-            self.facts.get(&(rel.to_string(), cs)).copied()
+            self.facts.get(&(rel, cs)).copied()
         } else {
-            self.local.get(&(rel.to_string(), canon)).copied()
+            self.local.get(&(rel, canon)).copied()
         }
     }
 
     /// Records a database literal.
-    pub fn assert_fact(&mut self, rel: &str, args: &[Sym], val: bool) -> Result<(), Conflict> {
+    pub fn assert_fact(&mut self, rel: NameId, args: &[Sym], val: bool) -> Result<(), Conflict> {
         let canon: Vec<Sym> = args.iter().map(|&s| self.canon(s)).collect();
         if let Some(cs) = all_c(&canon) {
-            let key = (rel.to_string(), cs);
+            let key = (rel, cs);
             match self.facts.get(&key) {
                 Some(old) if *old != val => Err(Conflict),
                 _ => {
@@ -175,7 +176,7 @@ impl SymState {
                 }
             }
         } else {
-            let key = (rel.to_string(), canon);
+            let key = (rel, canon);
             match self.local.get(&key) {
                 Some(old) if *old != val => Err(Conflict),
                 _ => {
@@ -255,9 +256,15 @@ impl SymState {
     /// Records an assumption with the given truth value.
     pub fn assert(&mut self, table: &CTable, a: &Assumption, val: bool) -> Result<(), Conflict> {
         match a {
-            Assumption::DbFact { rel, args } => self.assert_fact(rel, args, val),
+            Assumption::DbFact { rel, args } => self.assert_fact(*rel, args, val),
             Assumption::EqC(x, y) => self.assert_eq_c(table, *x, *y, val),
         }
+    }
+
+    /// True when some local literal is recorded; [`SymState::retire_fresh`]
+    /// is a no-op otherwise.
+    pub fn has_local(&self) -> bool {
+        !self.local.is_empty()
     }
 
     /// Drops (and forgets) every local literal mentioning a fresh symbol
@@ -307,6 +314,10 @@ mod tests {
     use super::*;
     use wave_core::builder::ServiceBuilder;
     use wave_logic::parser::parse_property;
+
+    /// The store keys facts by interned relation id; it never resolves
+    /// the id, so any fixed id stands for the relation `r`.
+    const R: NameId = 0;
 
     fn table() -> CTable {
         // literals "a", "b"; db const c0; input const name; witness w
@@ -365,8 +376,8 @@ mod tests {
         let mut st = SymState::new(t.len());
         let name = t.const_sym("name").unwrap();
         let w = t.witness_sym("w").unwrap();
-        st.assert_fact("r", &[Sym::C(name)], true).unwrap();
-        st.assert_fact("r", &[Sym::C(w)], false).unwrap();
+        st.assert_fact(R, &[Sym::C(name)], true).unwrap();
+        st.assert_fact(R, &[Sym::C(w)], false).unwrap();
         // Merging the two must now conflict (r holds of one, not the other).
         assert_eq!(st.assert_eq_c(&t, name, w, true), Err(Conflict));
     }
@@ -377,11 +388,11 @@ mod tests {
         let mut st = SymState::new(t.len());
         let name = t.const_sym("name").unwrap();
         let w = t.witness_sym("w").unwrap();
-        st.assert_fact("r", &[Sym::C(w)], true).unwrap();
+        st.assert_fact(R, &[Sym::C(w)], true).unwrap();
         st.assert_eq_c(&t, name, w, true).unwrap();
         // Lookup through either symbol sees the fact.
-        assert_eq!(st.fact_status("r", &[Sym::C(name)]), Some(true));
-        assert_eq!(st.fact_status("r", &[Sym::C(w)]), Some(true));
+        assert_eq!(st.fact_status(R, &[Sym::C(name)]), Some(true));
+        assert_eq!(st.fact_status(R, &[Sym::C(w)]), Some(true));
     }
 
     #[test]
@@ -397,12 +408,12 @@ mod tests {
     fn local_facts_retire_with_their_symbols() {
         let t = table();
         let mut st = SymState::new(t.len());
-        st.assert_fact("r", &[Sym::F(0), Sym::C(0)], true).unwrap();
-        st.assert_fact("r", &[Sym::F(1), Sym::C(0)], false).unwrap();
+        st.assert_fact(R, &[Sym::F(0), Sym::C(0)], true).unwrap();
+        st.assert_fact(R, &[Sym::F(1), Sym::C(0)], false).unwrap();
         // Keep only fresh 1, renamed to 0.
         st.retire_fresh(&|i| if i == 1 { Some(0) } else { None });
-        assert_eq!(st.fact_status("r", &[Sym::F(0), Sym::C(0)]), Some(false));
-        assert_eq!(st.fact_status("r", &[Sym::F(1), Sym::C(0)]), None);
+        assert_eq!(st.fact_status(R, &[Sym::F(0), Sym::C(0)]), Some(false));
+        assert_eq!(st.fact_status(R, &[Sym::F(1), Sym::C(0)]), None);
     }
 
     /// A table with `n` input constants `k0..k{n-1}` (no literals, so
@@ -485,8 +496,8 @@ mod tests {
     fn conflicting_fact_polarity_detected() {
         let t = table();
         let mut st = SymState::new(t.len());
-        st.assert_fact("r", &[Sym::C(0)], true).unwrap();
-        assert_eq!(st.assert_fact("r", &[Sym::C(0)], false), Err(Conflict));
-        assert_eq!(st.fact_status("r", &[Sym::C(0)]), Some(true));
+        st.assert_fact(R, &[Sym::C(0)], true).unwrap();
+        assert_eq!(st.assert_fact(R, &[Sym::C(0)], false), Err(Conflict));
+        assert_eq!(st.fact_status(R, &[Sym::C(0)]), Some(true));
     }
 }

@@ -9,8 +9,13 @@
 //! literals and `C`-equalities, on the equality type of each new input
 //! component (a `C`-class or a fresh element), and on the ∃FO witnesses
 //! needed to put the chosen tuple inside the page's input options.
+//!
+//! Branches are passed along by value through every loop: a branch that
+//! does not fork moves on without a copy, and forks share the knowledge
+//! store until one side asserts something new.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use wave_core::page::Page;
 use wave_core::service::Service;
@@ -19,7 +24,7 @@ use wave_logic::schema::{ConstKind, RelKind};
 
 use super::config::SymConfig;
 use super::eval::{eval_branching, Ctx};
-use super::table::{CSym, CTable, Sym};
+use super::table::{CSym, CTable, NameId, Sym};
 
 /// Base id for ephemeral ∃FO witnesses (never collides with live fresh
 /// symbols, whose count stays far below this).
@@ -28,51 +33,49 @@ const EPHEMERAL_BASE: u16 = 10_000;
 /// All initial configurations `σ_0`: every symbolic way to enter the home
 /// page.
 pub fn initial_configs(service: &Service, table: &CTable) -> Vec<SymConfig> {
-    let blank = SymConfig::initial(service, table);
-    enter_page(service, table, blank, &service.home.clone())
+    enter_page(service, table, SymConfig::initial(table), table.home())
 }
 
 /// All symbolic successors of `cfg`.
 pub fn successors(service: &Service, table: &CTable, cfg: &SymConfig) -> Vec<SymConfig> {
-    if cfg.page == service.error_page {
+    if cfg.page == table.error_page() {
         return vec![cfg.clone()];
     }
     if cfg.err_pending {
-        return vec![cfg.to_error(service)];
+        return vec![cfg.to_error(table)];
     }
     let page = service
-        .page(&cfg.page)
+        .page(table.name(cfg.page))
         .expect("non-error configurations sit on defined pages");
 
     // --- targets: branch over rule bodies; ambiguity → error page ---
     // Each branch carries (config-with-knowledge, Some(next page) so far).
-    let mut branches: Vec<(SymConfig, Option<String>, bool)> = vec![(cfg.clone(), None, false)];
+    let mut branches: Vec<(SymConfig, Option<NameId>, bool)> = vec![(cfg.clone(), None, false)];
     let ctx = Ctx {
         service,
         table,
         ephemeral: Vec::new(),
     };
     for rule in &page.target_rules {
+        let rule_target = table.name_id(&rule.target).expect("targets are interned");
         let mut next = Vec::new();
         for (c, target, dead) in branches {
             if dead {
                 next.push((c, target, dead));
                 continue;
             }
-            let (evals, unprovided) = eval_branching(&ctx, &c, &BTreeMap::new(), &rule.body);
-            if unprovided {
-                // Structurally prevented by err_pending, but stay faithful:
-                // a missing constant at rule evaluation dooms the step.
-                next.push((c, None, true));
-                continue;
-            }
+            // A configuration without `err_pending` has every input
+            // constant its page's rules mention provided (checked on page
+            // entry), so no target body can stop on an unprovided one.
+            let (evals, unprovided) = eval_branching(&ctx, c, &BTreeMap::new(), &rule.body);
+            debug_assert!(!unprovided, "provision checked on page entry");
             for (c2, v) in evals {
                 if !v {
-                    next.push((c2, target.clone(), false));
+                    next.push((c2, target, false));
                 } else {
-                    match &target {
-                        Some(t) if t != &rule.target => next.push((c2, None, true)),
-                        _ => next.push((c2, Some(rule.target.clone()), false)),
+                    match target {
+                        Some(t) if t != rule_target => next.push((c2, None, true)),
+                        _ => next.push((c2, Some(rule_target), false)),
                     }
                 }
             }
@@ -83,12 +86,12 @@ pub fn successors(service: &Service, table: &CTable, cfg: &SymConfig) -> Vec<Sym
     let mut out = Vec::new();
     for (c, target, dead) in branches {
         if dead {
-            out.push(c.to_error(service));
+            out.push(c.to_error(table));
             continue;
         }
-        let next_page = target.unwrap_or_else(|| cfg.page.clone());
+        let next_page = target.unwrap_or(cfg.page);
         for core in transition_cores(service, table, page, c) {
-            out.extend(enter_page(service, table, core, &next_page));
+            out.extend(enter_page(service, table, core, next_page));
         }
     }
     out.sort();
@@ -107,7 +110,7 @@ fn transition_cores(
     page: &Page,
     cfg: SymConfig,
 ) -> Vec<SymConfig> {
-    type Acc = Vec<(String, Vec<CSym>, bool)>; // (relation, pre-step tuple, next-membership)
+    type Acc = Vec<(NameId, Vec<CSym>, bool)>; // (relation, pre-step tuple, next-membership)
     let ctx = Ctx {
         service,
         table,
@@ -115,19 +118,20 @@ fn transition_cores(
     };
     let base_reps = cfg.st.reps();
 
-    let mut branches: Vec<(SymConfig, Acc, Acc)> = vec![(cfg.clone(), Vec::new(), Vec::new())];
+    let mut branches: Vec<(SymConfig, Acc, Acc)> = vec![(cfg, Vec::new(), Vec::new())];
 
     // State rules.
     for rel in service.schema.relations_of(RelKind::State) {
+        let rel_id = table.name_id(&rel.name).expect("relations are interned");
         let rule = page.state_rule(&rel.name);
         for tuple in tuples_over(&base_reps, rel.arity) {
             let mut next = Vec::new();
             for (c, mut sacc, aacc) in branches {
-                let current = c.state.contains(&(rel.name.clone(), tuple.clone()));
+                let current = c.state.contains(&(rel_id, tuple.clone()));
                 match rule {
                     None => {
                         if current {
-                            sacc.push((rel.name.clone(), tuple.clone(), true));
+                            sacc.push((rel_id, tuple.clone(), true));
                         }
                         next.push((c, sacc, aacc));
                     }
@@ -139,19 +143,19 @@ fn transition_cores(
                             .zip(tuple.iter().map(|&t| Sym::C(t)))
                             .collect();
                         let ins_branches = match &r.insert {
-                            Some(body) => eval_branching(&ctx, &c, &env, body).0,
-                            None => vec![(c.clone(), false)],
+                            Some(body) => eval_branching(&ctx, c, &env, body).0,
+                            None => vec![(c, false)],
                         };
                         for (c2, ins) in ins_branches {
                             let del_branches = match &r.delete {
-                                Some(body) => eval_branching(&ctx, &c2, &env, body).0,
-                                None => vec![(c2.clone(), false)],
+                                Some(body) => eval_branching(&ctx, c2, &env, body).0,
+                                None => vec![(c2, false)],
                             };
                             for (c3, del) in del_branches {
                                 let member = (ins && !del) || (current && (ins == del));
                                 let mut s2 = sacc.clone();
                                 if member {
-                                    s2.push((rel.name.clone(), tuple.clone(), true));
+                                    s2.push((rel_id, tuple.clone(), true));
                                 }
                                 next.push((c3, s2, aacc.clone()));
                             }
@@ -165,6 +169,9 @@ fn transition_cores(
 
     // Action rules.
     for rule in &page.action_rules {
+        let rel_id = table
+            .name_id(&rule.relation)
+            .expect("relations are interned");
         let arity = service
             .schema
             .relation(&rule.relation)
@@ -172,21 +179,20 @@ fn transition_cores(
             .unwrap_or(0);
         for tuple in tuples_over(&base_reps, arity) {
             let mut next = Vec::new();
-            for (c, sacc, mut aacc) in branches {
+            for (c, sacc, aacc) in branches {
                 let env: BTreeMap<Var, Sym> = rule
                     .vars
                     .iter()
                     .cloned()
                     .zip(tuple.iter().map(|&t| Sym::C(t)))
                     .collect();
-                for (c2, fired) in eval_branching(&ctx, &c, &env, &rule.body).0 {
+                for (c2, fired) in eval_branching(&ctx, c, &env, &rule.body).0 {
                     let mut a2 = aacc.clone();
                     if fired {
-                        a2.push((rule.relation.clone(), tuple.clone(), true));
+                        a2.push((rel_id, tuple.clone(), true));
                     }
                     next.push((c2, sacc.clone(), a2));
                 }
-                aacc.clear(); // moved into clones above
             }
             branches = next;
         }
@@ -196,11 +202,11 @@ fn transition_cores(
     // retire dead fresh symbols.
     let mut out = Vec::new();
     'branch: for (mut c, sacc, aacc) in branches {
-        let mut state = std::collections::BTreeSet::new();
-        let mut decided: BTreeMap<(String, Vec<CSym>), bool> = BTreeMap::new();
+        let mut state = BTreeSet::new();
+        let mut decided: BTreeMap<(NameId, Vec<CSym>), bool> = BTreeMap::new();
         for reps in tuples_decisions(&sacc, &c) {
             let ((rel, tuple), member) = reps;
-            match decided.insert((rel.clone(), tuple.clone()), member) {
+            match decided.insert((rel, tuple.clone()), member) {
                 Some(old) if old != member => continue 'branch, // collapse conflict
                 _ => {}
             }
@@ -213,28 +219,29 @@ fn transition_cores(
         // covers explicit entries; implicit false entries correspond to
         // tuples never pushed, which collapse conflicts are caught by
         // `SymConfig::assert` at merge time for previously-stored facts.
-        let mut action = std::collections::BTreeSet::new();
-        for (rel, tuple, member) in &aacc {
+        let mut action = BTreeSet::new();
+        for &(rel, ref tuple, member) in &aacc {
             let canon: Vec<CSym> = tuple.iter().map(|&t| c.st.find(t)).collect();
-            if *member {
-                action.insert((rel.clone(), canon));
+            if member {
+                action.insert((rel, canon));
             }
         }
         c.state = state;
         c.action = action;
 
         // prev := current inputs of this page (arity > 0 only).
+        let mut inputs = std::mem::take(&mut c.inputs);
         let mut prev = BTreeMap::new();
         for rel in &page.inputs {
             if let Some(r) = service.schema.relation(rel) {
                 if r.arity > 0 {
-                    if let Some(t) = c.inputs.get(rel) {
-                        prev.insert(rel.clone(), t.clone());
+                    let id = table.name_id(rel).expect("relations are interned");
+                    if let Some(t) = inputs.remove(&id) {
+                        prev.insert(id, t);
                     }
                 }
             }
         }
-        c.inputs = BTreeMap::new();
         c.prev = prev;
 
         // Renumber live fresh symbols (those surviving in prev).
@@ -247,8 +254,9 @@ fn transition_cores(
                 }
             }
         }
-        let map = rename.clone();
-        c.st.retire_fresh(&move |i| map.get(&i).copied());
+        if c.st.has_local() {
+            Arc::make_mut(&mut c.st).retire_fresh(&|i| rename.get(&i).copied());
+        }
         for t in c.prev.values_mut() {
             for s in t.iter_mut() {
                 if let Sym::F(i) = s {
@@ -263,13 +271,13 @@ fn transition_cores(
 }
 
 fn tuples_decisions(
-    acc: &[(String, Vec<CSym>, bool)],
+    acc: &[(NameId, Vec<CSym>, bool)],
     c: &SymConfig,
-) -> Vec<((String, Vec<CSym>), bool)> {
+) -> Vec<((NameId, Vec<CSym>), bool)> {
     acc.iter()
-        .map(|(rel, tuple, member)| {
+        .map(|&(rel, ref tuple, member)| {
             let canon: Vec<CSym> = tuple.iter().map(|&t| c.st.find(t)).collect();
-            ((rel.clone(), canon), *member)
+            ((rel, canon), member)
         })
         .collect()
 }
@@ -290,22 +298,20 @@ fn tuples_over(reps: &[CSym], arity: usize) -> Vec<Vec<CSym>> {
     out
 }
 
-/// Enters `page_name` with the carried configuration: provisions input
+/// Enters page `page_id` with the carried configuration: provisions input
 /// constants (conditions (i)/(ii)), then branches over every input choice,
 /// asserting option membership for chosen tuples.
 fn enter_page(
     service: &Service,
     table: &CTable,
     mut cfg: SymConfig,
-    page_name: &str,
+    page_id: NameId,
 ) -> Vec<SymConfig> {
-    if page_name == service.error_page {
-        let mut e = cfg.to_error(service);
-        e.page = service.error_page.clone();
-        return vec![e];
+    if page_id == table.error_page() {
+        return vec![cfg.to_error(table)];
     }
-    cfg.page = page_name.to_string();
-    let page = service.page(page_name).expect("defined page");
+    cfg.page = page_id;
+    let page = service.page(table.name(page_id)).expect("defined page");
 
     // Condition (ii): re-request of a provided constant.
     let page_consts: Vec<CSym> = page
@@ -330,24 +336,51 @@ fn enter_page(
     });
     cfg.err_pending = rerequest || missing;
 
-    // Input choices, relation by relation.
+    // Input choices, relation by relation, in name order.
     let mut branches = vec![cfg];
-    let mut inputs_sorted = page.inputs.clone();
+    let mut inputs_sorted: Vec<NameId> = page
+        .inputs
+        .iter()
+        .map(|rel| table.name_id(rel).expect("relations are interned"))
+        .collect();
     inputs_sorted.sort();
-    for rel in &inputs_sorted {
+    for rel_id in inputs_sorted {
+        let rel = table.name(rel_id);
         let arity = service.schema.relation(rel).map(|r| r.arity).unwrap_or(0);
         let mut next = Vec::new();
         for c in branches {
             if arity == 0 {
                 // Propositional input: free truth value.
-                next.push(c.clone());
-                let mut c2 = c;
-                c2.inputs.insert(rel.clone(), Vec::new());
+                let mut c2 = c.clone();
+                next.push(c);
+                c2.inputs.insert(rel_id, Vec::new());
                 next.push(c2);
                 continue;
             }
+            // The pick must come from the page's options. Options
+            // unavailable (missing constant): per the concrete semantics
+            // the option set is empty, so no tuple can be picked.
+            let rule = if cfg_err_pending_blocks_options(&c) {
+                None
+            } else {
+                page.input_rule(rel)
+            };
+            let Some(rule) = rule else {
+                // No pick is the only choice.
+                next.push(c);
+                continue;
+            };
             // No pick.
             next.push(c.clone());
+            let n_eph = count_quantified(&rule.body);
+            let ephemeral: Vec<Sym> = (0..n_eph as u16)
+                .map(|i| Sym::F(EPHEMERAL_BASE + i))
+                .collect();
+            let ctx = Ctx {
+                service,
+                table,
+                ephemeral,
+            };
             // Every equality type for the picked tuple.
             for tuple in component_choices(&c, arity) {
                 let mut c2 = c.clone();
@@ -360,42 +393,24 @@ fn enter_page(
                     .max()
                     .unwrap_or(c2.n_fresh);
                 c2.n_fresh = c2.n_fresh.max(max_fresh);
-                c2.inputs.insert(rel.clone(), tuple.clone());
-                // The pick must come from the page's options.
-                if cfg_err_pending_blocks_options(&c2) {
-                    // Options unavailable (missing constant): per the
-                    // concrete semantics the option set is empty, so no
-                    // tuple can be picked.
-                    continue;
-                }
-                let Some(rule) = page.input_rule(rel) else {
-                    continue;
-                };
                 let env: BTreeMap<Var, Sym> = rule
                     .vars
                     .iter()
                     .cloned()
                     .zip(tuple.iter().copied())
                     .collect();
-                let n_eph = count_quantified(&rule.body);
-                let ephemeral: Vec<Sym> = (0..n_eph as u16)
-                    .map(|i| Sym::F(EPHEMERAL_BASE + i))
-                    .collect();
-                let ctx = Ctx {
-                    service,
-                    table,
-                    ephemeral,
-                };
-                for (c3, ok) in eval_branching(&ctx, &c2, &env, &rule.body).0 {
+                c2.inputs.insert(rel_id, tuple);
+                for (mut c3, ok) in eval_branching(&ctx, c2, &env, &rule.body).0 {
                     if !ok {
                         continue;
                     }
-                    let mut c4 = c3;
                     // Ephemeral witnesses die immediately; their database
                     // facts are realizable by globally fresh elements.
-                    c4.st
-                        .retire_fresh(&|i| if i < EPHEMERAL_BASE { Some(i) } else { None });
-                    next.push(c4);
+                    if c3.st.has_local() {
+                        Arc::make_mut(&mut c3.st)
+                            .retire_fresh(&|i| (i < EPHEMERAL_BASE).then_some(i));
+                    }
+                    next.push(c3);
                 }
             }
         }
@@ -462,6 +477,10 @@ mod tests {
     use wave_core::builder::ServiceBuilder;
     use wave_logic::parser::parse_property;
 
+    fn id(t: &CTable, name: &str) -> NameId {
+        t.name_id(name).unwrap()
+    }
+
     fn toggle() -> (Service, CTable) {
         let mut b = ServiceBuilder::new("P");
         b.input_relation("go", 0)
@@ -483,21 +502,23 @@ mod tests {
         let inits = initial_configs(&s, &t);
         // go pressed or not
         assert_eq!(inits.len(), 2);
-        assert!(inits.iter().all(|c| c.page == "P"));
-        assert!(inits.iter().any(|c| c.inputs.contains_key("go")));
-        assert!(inits.iter().any(|c| !c.inputs.contains_key("go")));
+        let (p, go) = (id(&t, "P"), id(&t, "go"));
+        assert!(inits.iter().all(|c| c.page == p));
+        assert!(inits.iter().any(|c| c.inputs.contains_key(&go)));
+        assert!(inits.iter().any(|c| !c.inputs.contains_key(&go)));
     }
 
     #[test]
     fn toggle_successors_move_pages() {
         let (s, t) = toggle();
         let inits = initial_configs(&s, &t);
-        let pressed = inits.iter().find(|c| c.inputs.contains_key("go")).unwrap();
+        let go = id(&t, "go");
+        let pressed = inits.iter().find(|c| c.inputs.contains_key(&go)).unwrap();
         let succs = successors(&s, &t, pressed);
-        assert!(succs.iter().all(|c| c.page == "Q"));
-        let idle = inits.iter().find(|c| !c.inputs.contains_key("go")).unwrap();
+        assert!(succs.iter().all(|c| c.page == id(&t, "Q")));
+        let idle = inits.iter().find(|c| !c.inputs.contains_key(&go)).unwrap();
         let succs2 = successors(&s, &t, idle);
-        assert!(succs2.iter().all(|c| c.page == "P"));
+        assert!(succs2.iter().all(|c| c.page == id(&t, "P")));
     }
 
     fn login() -> (Service, CTable) {
@@ -529,20 +550,21 @@ mod tests {
         let (s, t) = login();
         let inits = initial_configs(&s, &t);
         // Some initial config presses login.
+        let button = id(&t, "button");
         let pressed: Vec<_> = inits
             .iter()
-            .filter(|c| c.inputs.contains_key("button"))
+            .filter(|c| c.inputs.contains_key(&button))
             .collect();
         assert!(!pressed.is_empty());
         let mut reached_cp = false;
         let mut stayed = false;
         for c in pressed {
             for s2 in successors(&s, &t, c) {
-                match s2.page.as_str() {
+                match t.name(s2.page) {
                     "CP" => {
                         reached_cp = true;
                         // the branch assumed user(name, password)
-                        assert!(s2.state.contains(&("logged_in".into(), vec![])));
+                        assert!(s2.state.contains(&(id(&t, "logged_in"), vec![])));
                     }
                     "HP" => stayed = true,
                     other => panic!("unexpected page {other}"),
@@ -560,15 +582,15 @@ mod tests {
         // Idle on HP: stay → re-entry re-requests name/password.
         let idle = inits
             .iter()
-            .find(|c| !c.inputs.contains_key("button"))
+            .find(|c| !c.inputs.contains_key(&id(&t, "button")))
             .unwrap();
         let succs = successors(&s, &t, idle);
-        let back_home: Vec<_> = succs.iter().filter(|c| c.page == "HP").collect();
+        let back_home: Vec<_> = succs.iter().filter(|c| c.page == id(&t, "HP")).collect();
         assert!(!back_home.is_empty());
         assert!(back_home.iter().all(|c| c.err_pending));
         for c in back_home {
             let nexts = successors(&s, &t, c);
-            assert!(nexts.iter().all(|n| n.page == s.error_page));
+            assert!(nexts.iter().all(|n| n.page == t.error_page()));
         }
     }
 
@@ -584,11 +606,12 @@ mod tests {
         let p = parse_property("G true").unwrap();
         let t = CTable::build(&s, &p);
         let inits = initial_configs(&s, &t);
+        let (pick, item) = (id(&t, "pick"), id(&t, "item"));
         for c in &inits {
-            if let Some(tuple) = c.inputs.get("pick") {
+            if let Some(tuple) = c.inputs.get(&pick) {
                 // the knowledge store must contain item(tuple) = true
                 assert_eq!(
-                    c.st.fact_status("item", tuple),
+                    c.st.fact_status(item, tuple),
                     Some(true),
                     "picked tuples must satisfy the options rule"
                 );
@@ -598,6 +621,6 @@ mod tests {
         assert!(inits.iter().any(|c| c.inputs.is_empty()));
         assert!(inits
             .iter()
-            .any(|c| matches!(c.inputs.get("pick").map(|t| t[0]), Some(Sym::F(0)))));
+            .any(|c| matches!(c.inputs.get(&pick).map(|t| t[0]), Some(Sym::F(0)))));
     }
 }

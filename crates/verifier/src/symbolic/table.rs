@@ -4,12 +4,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use wave_core::service::Service;
-use wave_logic::schema::ConstKind;
+use wave_logic::schema::{ConstKind, RelKind};
 use wave_logic::temporal::Property;
 use wave_logic::value::Value;
 
 /// Index into the constant table.
 pub type CSym = u16;
+
+/// Dense id of a page or relation name. Ids are assigned in
+/// lexicographic name order (see [`CTable`]), so comparing ids compares
+/// names.
+pub type NameId = u16;
 
 /// A symbolic value: a `C`-symbol or a live fresh symbol (canonically
 /// numbered per configuration).
@@ -47,6 +52,15 @@ pub enum CSymKind {
 /// contain a literal, and which?" an O(1) question: a class contains a
 /// literal iff its representative is one (see
 /// [`SymState::eq_status`](super::state::SymState::eq_status)).
+///
+/// # Name ids follow name order
+///
+/// The table also interns every page and relation name of the service
+/// to a dense [`NameId`], numbering the sorted name set `0, 1, 2, …`.
+/// Configurations key pages, facts and inputs by these ids, and their
+/// derived orderings are then exactly the orderings over the names —
+/// which is what keeps successor order, and so every verdict byte,
+/// independent of the representation.
 #[derive(Clone, Debug, Default)]
 pub struct CTable {
     syms: Vec<CSymKind>,
@@ -58,6 +72,12 @@ pub struct CTable {
     by_literal: BTreeMap<Value, CSym>,
     by_const: BTreeMap<String, CSym>,
     by_witness: BTreeMap<String, CSym>,
+    /// Interned page and relation names, sorted: `names[id]`.
+    names: Vec<String>,
+    /// Name → (id, relation kind if the name is a schema relation).
+    by_name: BTreeMap<String, (NameId, Option<RelKind>)>,
+    home: NameId,
+    error_page: NameId,
 }
 
 impl CTable {
@@ -103,13 +123,52 @@ impl CTable {
                 }
             }
         }
-        CTable {
+        // Every name a configuration can carry: schema relations (pages
+        // included), page schemas, navigation targets, home and error
+        // page. A BTreeSet gives the lexicographic numbering.
+        let mut name_set: BTreeSet<&str> = service
+            .schema
+            .relations()
+            .map(|r| r.name.as_str())
+            .collect();
+        name_set.extend(service.page_names());
+        name_set.extend(
+            service
+                .pages
+                .values()
+                .flat_map(|p| p.target_rules.iter().map(|r| r.target.as_str())),
+        );
+        name_set.insert(&service.home);
+        name_set.insert(&service.error_page);
+        assert!(
+            name_set.len() <= NameId::MAX as usize,
+            "more page and relation names than name ids"
+        );
+        let names: Vec<String> = name_set.into_iter().map(str::to_string).collect();
+        let by_name = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let kind = service.schema.relation(n).map(|r| r.kind);
+                (n.clone(), (i as NameId, kind))
+            })
+            .collect();
+        let mut table = CTable {
             syms,
             n_literals,
             by_literal,
             by_const,
             by_witness,
-        }
+            names,
+            by_name,
+            home: 0,
+            error_page: 0,
+        };
+        table.home = table.name_id(&service.home).expect("home is interned");
+        table.error_page = table
+            .name_id(&service.error_page)
+            .expect("error page is interned");
+        table
     }
 
     /// Number of literal symbols; they occupy indices `0..n_literals()`.
@@ -153,6 +212,34 @@ impl CTable {
     /// Looks up the witness symbol for a property variable.
     pub fn witness_sym(&self, var: &str) -> Option<CSym> {
         self.by_witness.get(var).copied()
+    }
+
+    /// The id of an interned page or relation name.
+    pub fn name_id(&self, name: &str) -> Option<NameId> {
+        self.by_name.get(name).map(|&(id, _)| id)
+    }
+
+    /// The id and schema kind of a relation name.
+    pub fn relation(&self, name: &str) -> Option<(NameId, RelKind)> {
+        match self.by_name.get(name) {
+            Some(&(id, Some(kind))) => Some((id, kind)),
+            _ => None,
+        }
+    }
+
+    /// The name behind an id.
+    pub fn name(&self, id: NameId) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// The home page's id.
+    pub fn home(&self) -> NameId {
+        self.home
+    }
+
+    /// The error page's id.
+    pub fn error_page(&self) -> NameId {
+        self.error_page
     }
 
     /// True when the symbol is an input constant.
@@ -229,5 +316,40 @@ mod tests {
         let go = t.literal_sym(&Value::str("go")).unwrap();
         assert_eq!(t.render(Sym::C(go)), "\"go\"");
         assert_eq!(t.render(Sym::F(2)), "✶2");
+    }
+
+    #[test]
+    fn name_ids_follow_name_order() {
+        let mut b = ServiceBuilder::new("home");
+        b.state_prop("zeta")
+            .state_prop("alpha")
+            .input_relation("mid", 0)
+            .page("home")
+            .input_prop_on_page("mid")
+            .target("away", "mid")
+            .page("away");
+        let s = b.build().unwrap();
+        let p = parse_property("G true").unwrap();
+        let t = CTable::build(&s, &p);
+        let names = [
+            "alpha",
+            "away",
+            "home",
+            "mid",
+            "zeta",
+            s.error_page.as_str(),
+        ];
+        for a in names {
+            let ia = t.name_id(a).unwrap();
+            assert_eq!(t.name(ia), a);
+            for b in names {
+                let ib = t.name_id(b).unwrap();
+                assert_eq!(ia.cmp(&ib), a.cmp(b), "{a} vs {b}");
+            }
+        }
+        assert_eq!(t.name(t.home()), "home");
+        assert_eq!(t.name(t.error_page()), s.error_page);
+        assert_eq!(t.relation("zeta").map(|(_, k)| k), Some(RelKind::State));
+        assert_eq!(t.name_id("nope"), None);
     }
 }
