@@ -30,7 +30,7 @@ use wave_fleet::router::Router;
 use wave_serve::client::{ClientError, TcpClient};
 use wave_serve::codec::Request;
 use wave_serve::engine::{Engine, EngineOptions};
-use wave_serve::server::{read_request_line, refuse_long_line, write_line, LineRead, Server};
+use wave_serve::server::{read_request_line, write_line, Server};
 
 const DEFAULT_FRONT_ADDR: &str = "127.0.0.1:7979";
 
@@ -134,15 +134,7 @@ fn serve_front_conn(stream: TcpStream, router: &Router) {
     let mut reader = BufReader::new(peer);
     let mut writer = stream;
     let mut buf = Vec::new();
-    loop {
-        let line = match read_request_line(&mut reader, &mut buf) {
-            LineRead::Line(line) => line,
-            LineRead::End => return,
-            LineRead::TooLong => {
-                refuse_long_line(&mut reader, &mut writer);
-                return;
-            }
-        };
+    while let Some(line) = read_request_line(&mut reader, &mut writer, &mut buf) {
         if line.trim().is_empty() {
             continue;
         }

@@ -389,15 +389,7 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
     let mut reader = BufReader::new(stream);
     let faults = engine.faults().clone();
     let mut buf = Vec::new();
-    loop {
-        let line = match read_request_line(&mut reader, &mut buf) {
-            LineRead::Line(line) => line,
-            LineRead::End => return,
-            LineRead::TooLong => {
-                refuse_long_line(&mut reader, &mut writer);
-                return;
-            }
-        };
+    while let Some(line) = read_request_line(&mut reader, &mut writer, &mut buf) {
         if line.trim().is_empty() {
             continue;
         }
@@ -431,29 +423,27 @@ fn serve_connection(stream: TcpStream, engine: &Engine) {
     }
 }
 
-/// The outcome of [`read_request_line`].
-pub enum LineRead<'b> {
-    /// A complete line, newline (and a trailing `\r`) stripped. The
-    /// final line of a stream may lack its newline.
-    Line(&'b str),
-    /// End of stream, a read error, or a line that is not UTF-8: the
-    /// session is over.
-    End,
-    /// The line is longer than [`MAX_LINE_BYTES`]; answer with
-    /// [`refuse_long_line`].
-    TooLong,
-}
-
-/// Reads the next request line into `buf`, which the caller reuses for
-/// the whole session: a read never takes more than the cap plus one
-/// byte, so no line can grow the buffer past that.
-pub fn read_request_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> LineRead<'b> {
+/// Reads the next request line of a session into `buf`, which the
+/// caller reuses for the whole session: a read never takes more than the
+/// cap plus one byte, so no line can grow the buffer past that. The
+/// newline (and a trailing `\r`) is stripped; the final line of a stream
+/// may lack its newline.
+///
+/// `None` means the session is over: end of stream, a read error, a
+/// line that is not UTF-8, or a line longer than [`MAX_LINE_BYTES`],
+/// which is first answered on `writer` with a typed `line_too_long`
+/// refusal.
+pub fn read_request_line<'b>(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    buf: &'b mut Vec<u8>,
+) -> Option<&'b str> {
     buf.clear();
     match reader
         .take(MAX_LINE_BYTES as u64 + 1)
         .read_until(b'\n', buf)
     {
-        Ok(0) | Err(_) => return LineRead::End,
+        Ok(0) | Err(_) => return None,
         Ok(_) => {}
     }
     if buf.last() == Some(&b'\n') {
@@ -462,18 +452,16 @@ pub fn read_request_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) ->
             buf.pop();
         }
     } else if buf.len() > MAX_LINE_BYTES {
-        return LineRead::TooLong;
+        refuse_long_line(reader, writer);
+        return None;
     }
-    match std::str::from_utf8(buf) {
-        Ok(line) => LineRead::Line(line),
-        Err(_) => LineRead::End,
-    }
+    std::str::from_utf8(buf).ok()
 }
 
 /// Answers an oversized request line with a typed refusal, then closes
 /// the write side and discards the rest of the line (bounded in bytes
 /// and time) so the client reads the refusal and a clean end of stream.
-pub fn refuse_long_line(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
+fn refuse_long_line(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
     let reply = Json::Obj(vec![
         ("ok".into(), Json::Bool(false)),
         ("kind".into(), Json::str("line_too_long")),
