@@ -98,7 +98,8 @@ impl SymConfig {
     /// state/action content (two tuples collapsing must have agreed).
     ///
     /// Takes the configuration by value: the store is copied only when
-    /// another configuration still shares it.
+    /// another configuration still shares it, or for an equality merge,
+    /// which re-canonicalizes against the store as it was.
     pub fn assert(mut self, table: &CTable, a: &Assumption, val: bool) -> Option<SymConfig> {
         let merge = matches!((a, val), (Assumption::EqC(..), true));
         let old = merge.then(|| Arc::clone(&self.st));

@@ -145,7 +145,7 @@ impl CTable {
             "more page and relation names than name ids"
         );
         let names: Vec<String> = name_set.into_iter().map(str::to_string).collect();
-        let by_name = names
+        let by_name: BTreeMap<String, (NameId, Option<RelKind>)> = names
             .iter()
             .enumerate()
             .map(|(i, n)| {
@@ -153,7 +153,9 @@ impl CTable {
                 (n.clone(), (i as NameId, kind))
             })
             .collect();
-        let mut table = CTable {
+        let home = by_name[&service.home].0;
+        let error_page = by_name[&service.error_page].0;
+        CTable {
             syms,
             n_literals,
             by_literal,
@@ -161,14 +163,9 @@ impl CTable {
             by_witness,
             names,
             by_name,
-            home: 0,
-            error_page: 0,
-        };
-        table.home = table.name_id(&service.home).expect("home is interned");
-        table.error_page = table
-            .name_id(&service.error_page)
-            .expect("error page is interned");
-        table
+            home,
+            error_page,
+        }
     }
 
     /// Number of literal symbols; they occupy indices `0..n_literals()`.
