@@ -4,7 +4,9 @@
 //! journal lines (see `wave_serve::cache`). The shipper tails each
 //! node's journal by byte offset and ships new **complete** lines to
 //! the node's [`SHIP_FANOUT`] **ring successors** over the wire
-//! protocol's `replicate` command. Receivers re-validate every frame
+//! protocol's `replicate` command, in batches that each fit the
+//! server's request-line cap (a journal tail can be many times that
+//! long). Receivers re-validate every frame
 //! (CRC, canonical re-encode, cacheable verdict) and skip
 //! byte-identical records, so shipping is idempotent: re-sending a
 //! window, crossing a compaction, or racing a concurrent writer can
@@ -22,8 +24,8 @@
 //!
 //! Cursors (journal generation + byte offset, see
 //! [`JournalCursor`](wave_serve::cache::JournalCursor)) are tracked per
-//! `(source, peer)` pair and only advance after a successful ship to
-//! that peer, so a peer that misses a round (drop fault, dead socket)
+//! `(source, peer)` pair and only advance past the batches that peer
+//! acknowledged, so a peer that misses a round (drop fault, dead socket)
 //! catches up on the next tick instead of silently losing the window.
 //! The generation stamp — bumped by every journal compaction, read from
 //! the `.gen` sidecar next to the journal — is what makes resuming
@@ -43,7 +45,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wave_serve::cache::{read_generation, JournalCursor};
-use wave_serve::client::TcpClient;
+use wave_serve::client::{replicate_batches, TcpClient};
 use wave_serve::faults::{Fault, Faults, Hook};
 
 use crate::router::Router;
@@ -62,13 +64,22 @@ pub const SHIP_FANOUT: usize = 2;
 /// offset. Partial trailing lines — a writer mid-append, or a crash
 /// mid-write — are left for the next call.
 pub fn tail_lines(path: &Path, cursor: JournalCursor) -> (Vec<String>, JournalCursor) {
+    let (lines, _, next) = tail_with_ends(path, cursor);
+    (lines, next)
+}
+
+/// [`tail_lines`], plus the byte offset just past each returned line,
+/// so a caller that ships only a prefix of the lines can resume after
+/// it.
+fn tail_with_ends(path: &Path, cursor: JournalCursor) -> (Vec<String>, Vec<usize>, JournalCursor) {
     let Ok(bytes) = fs::read(path) else {
-        return (Vec::new(), cursor);
+        return (Vec::new(), Vec::new(), cursor);
     };
     let generation = read_generation(path);
     let stale = cursor.generation != generation || cursor.offset > bytes.len();
     let from = if stale { 0 } else { cursor.offset };
     let mut lines = Vec::new();
+    let mut ends = Vec::new();
     let mut at = from;
     let mut line_start = from;
     while at < bytes.len() {
@@ -78,6 +89,7 @@ pub fn tail_lines(path: &Path, cursor: JournalCursor) -> (Vec<String>, JournalCu
             if !raw.is_empty() {
                 if let Ok(s) = std::str::from_utf8(raw) {
                     lines.push(s.to_string());
+                    ends.push(at + 1);
                 }
             }
             line_start = at + 1;
@@ -86,6 +98,7 @@ pub fn tail_lines(path: &Path, cursor: JournalCursor) -> (Vec<String>, JournalCu
     }
     (
         lines,
+        ends,
         JournalCursor {
             generation,
             offset: line_start,
@@ -147,7 +160,7 @@ impl Shipper {
             for peer in router.successors_of(source.id, SHIP_FANOUT) {
                 let key = (source.id, peer.id);
                 let from = offsets.get(&key).copied().unwrap_or_default();
-                let (lines, next) = tail_lines(journal, from);
+                let (lines, ends, next) = tail_with_ends(journal, from);
                 if lines.is_empty() {
                     offsets.insert(key, next);
                     continue;
@@ -160,13 +173,26 @@ impl Shipper {
                     Fault::Drop => continue,
                     _ => {}
                 }
-                let ok = TcpClient::connect_timeout(peer.addr, Duration::from_secs(10))
-                    .ok()
-                    .and_then(|mut c| c.replicate(&lines).ok())
-                    .is_some();
-                if ok {
+                let Ok(mut c) = TcpClient::connect_timeout(peer.addr, Duration::from_secs(10))
+                else {
+                    continue;
+                };
+                // One request per batch; the cursor moves past each batch
+                // the peer acknowledges, so a failure mid-window resends
+                // only the rest.
+                let mut acked = 0;
+                for batch in replicate_batches(&lines) {
+                    if c.replicate(batch).is_err() {
+                        break;
+                    }
+                    acked += batch.len();
+                    shipped.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                }
+                if acked == lines.len() {
                     offsets.insert(key, next);
-                    shipped.fetch_add(lines.len() as u64, Ordering::Relaxed);
+                } else if acked > 0 {
+                    let offset = ends[acked - 1];
+                    offsets.insert(key, JournalCursor { offset, ..next });
                 }
             }
         }
@@ -299,6 +325,134 @@ mod tests {
         // Steady state: a repeat tail from the fresh cursor ships nothing.
         let (lines, _) = tail_lines(&path, cursor2);
         assert!(lines.is_empty(), "no re-shipping once caught up");
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a persisted journal of valid records with distinct
+    /// fingerprints until it is twice the server's request-line cap, so
+    /// shipping it whole in one `replicate` line would be refused.
+    /// Returns the record count.
+    fn journal_over_the_cap(path: &Path) -> u64 {
+        use wave_logic::fingerprint::Fingerprint;
+        use wave_serve::cache::ResultCache;
+        use wave_serve::codec::{Mode, VerifyRequest};
+        use wave_serve::engine::{Engine, EngineOptions};
+        use wave_serve::server::MAX_LINE_BYTES;
+
+        let reply = Engine::new(EngineOptions::default())
+            .submit(&VerifyRequest {
+                service: "toggle".into(),
+                property: "G (P | Q)".into(),
+                mode: Mode::Ltl,
+                node_limit: 0,
+                threads: 1,
+                deadline_us: 0,
+                check_owner: false,
+            })
+            .expect("verify");
+        let _ = fs::remove_file(path);
+        let mut cache = ResultCache::new(1 << 30).with_persistence(path.to_path_buf());
+        let mut n = 0u64;
+        while cache.journal_bytes() < 2 * MAX_LINE_BYTES {
+            n += 1;
+            cache.insert(Fingerprint(n as u128), reply.outcome_bytes.clone());
+        }
+        n
+    }
+
+    /// A live node whose engine keeps its cache in memory only.
+    fn spawn_node() -> (std::net::SocketAddr, Arc<wave_serve::engine::Engine>) {
+        use wave_serve::engine::{Engine, EngineOptions};
+        use wave_serve::server::Server;
+
+        let engine = Arc::new(Engine::new(EngineOptions {
+            cache_bytes: 1 << 30,
+            ..EngineOptions::default()
+        }));
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        std::thread::spawn(move || server.run());
+        (addr, engine)
+    }
+
+    /// Replication used to send a whole journal tail as one request
+    /// line; past the server's line cap the peer refused it, and the
+    /// cursor never moved again.
+    #[test]
+    fn a_journal_over_the_line_cap_ships_in_one_tick() {
+        use crate::router::{NodeHandle, Router};
+
+        let dir = std::env::temp_dir().join(format!("wave-fleet-bigtick-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("node-0.ndjson");
+        let n = journal_over_the_cap(&path);
+        let (source_addr, _) = spawn_node();
+        let (peer_addr, peer) = spawn_node();
+        let router = Router::new(
+            vec![
+                NodeHandle {
+                    id: 0,
+                    addr: source_addr,
+                    journal: Some(path.clone()),
+                },
+                NodeHandle {
+                    id: 1,
+                    addr: peer_addr,
+                    journal: None,
+                },
+            ],
+            Faults::none(),
+        );
+        let mut offsets = HashMap::new();
+        let shipped = AtomicU64::new(0);
+        Shipper::tick(&router, &Faults::none(), &mut offsets, &shipped);
+        let applied = || peer.counters.replicated_applied.load(Ordering::Relaxed);
+        assert_eq!(applied(), n, "every record is applied");
+        assert_eq!(shipped.load(Ordering::Relaxed), n);
+        assert_eq!(
+            offsets[&(0, 1)].offset as u64,
+            fs::metadata(&path).unwrap().len(),
+            "the cursor reaches the end of the journal"
+        );
+
+        // Caught up: the next tick ships nothing.
+        Shipper::tick(&router, &Faults::none(), &mut offsets, &shipped);
+        assert_eq!(shipped.load(Ordering::Relaxed), n);
+        let c = &peer.counters;
+        assert_eq!(c.replicated_refreshed.load(Ordering::Relaxed), 0);
+        assert_eq!(c.replicated_dropped.load(Ordering::Relaxed), 0);
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rejoin_replays_a_journal_over_the_line_cap() {
+        use crate::router::{NodeHandle, Router};
+
+        let dir = std::env::temp_dir().join(format!("wave-fleet-bigjoin-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("node-0.ndjson");
+        let n = journal_over_the_cap(&path);
+        let (source_addr, _) = spawn_node();
+        let (joiner_addr, joiner) = spawn_node();
+        let router = Router::new(
+            vec![NodeHandle {
+                id: 0,
+                addr: source_addr,
+                journal: Some(path.clone()),
+            }],
+            Faults::none(),
+        );
+        router.join(NodeHandle {
+            id: 1,
+            addr: joiner_addr,
+            journal: None,
+        });
+        let c = &joiner.counters;
+        assert_eq!(c.replicated_applied.load(Ordering::Relaxed), n);
+        assert_eq!(c.replicated_dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(router.counters.replayed_records.load(Ordering::Relaxed), n);
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -14,7 +14,7 @@
 //! with their generated properties).
 //!
 //! To regenerate after a deliberate change, run
-//! `cargo test -p wave-verifier --test verdict_golden -- --nocapture`:
+//! `cargo test -p wave-qa --test verdict_golden -- --nocapture`:
 //! the failure message prints the full actual fixture between
 //! `--- actual ---` and `--- end ---`.
 

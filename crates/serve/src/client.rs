@@ -38,7 +38,7 @@ use wave_verifier::symbolic::VerifyOutcome;
 use crate::codec::{outcome_from_json, Request, VerifyRequest};
 use crate::engine::Engine;
 use crate::json::Json;
-use crate::server::{handle_line, write_line};
+use crate::server::{handle_line, write_line, MAX_LINE_BYTES};
 
 /// Default per-read timeout for TCP sessions.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
@@ -243,6 +243,29 @@ fn decode_drain_line(line: &str) -> Result<bool, ClientError> {
     v.get("drained")
         .and_then(Json::as_bool)
         .ok_or_else(|| ClientError::Protocol("missing drained".into()))
+}
+
+/// Splits `lines` into consecutive batches whose `replicate` request
+/// line stays within [`MAX_LINE_BYTES`], the longest line a server
+/// reads: a journal tail can be many times that long. A line too long
+/// to fit even alone forms a batch of its own.
+pub fn replicate_batches(lines: &[String]) -> Vec<&[String]> {
+    let envelope = Request::Replicate { lines: Vec::new() }.encode().len();
+    let mut batches = Vec::new();
+    let (mut start, mut size) = (0, envelope);
+    for (i, line) in lines.iter().enumerate() {
+        // The encoded line plus the comma before it.
+        let len = Json::str(line.as_str()).encode().len() + 1;
+        if i > start && size + len > MAX_LINE_BYTES {
+            batches.push(&lines[start..i]);
+            (start, size) = (i, envelope);
+        }
+        size += len;
+    }
+    if start < lines.len() {
+        batches.push(&lines[start..]);
+    }
+    batches
 }
 
 /// In-process client: same protocol, no socket.
@@ -524,14 +547,33 @@ impl TcpClient {
     }
 
     /// Ships CRC-framed journal lines to the server's replication
-    /// endpoint; returns `(applied, refreshed, dropped)` counts.
+    /// endpoint; returns `(applied, refreshed, dropped)` counts summed
+    /// over the [`replicate_batches`] it sends, one request each, in
+    /// order. A line too long to ship even alone is counted as dropped
+    /// without being sent. On an error the batches before the failing
+    /// one have been applied; a caller that resumes from where it got to
+    /// sends one batch per call.
     pub fn replicate(&mut self, lines: &[String]) -> Result<(u64, u64, u64), ClientError> {
-        let line = self.round_trip(
-            &Request::Replicate {
-                lines: lines.to_vec(),
+        let mut total = (0, 0, 0);
+        for batch in replicate_batches(lines) {
+            let request = Request::Replicate {
+                lines: batch.to_vec(),
             }
-            .encode(),
-        )?;
+            .encode();
+            let (applied, refreshed, dropped) = if request.len() > MAX_LINE_BYTES {
+                (0, 0, batch.len() as u64)
+            } else {
+                self.replicate_request(&request)?
+            };
+            total.0 += applied;
+            total.1 += refreshed;
+            total.2 += dropped;
+        }
+        Ok(total)
+    }
+
+    fn replicate_request(&mut self, request: &str) -> Result<(u64, u64, u64), ClientError> {
+        let line = self.round_trip(request)?;
         let v = Json::parse(&line).map_err(|e| ClientError::Protocol(e.to_string()))?;
         if v.get("ok").and_then(Json::as_bool) != Some(true) {
             let msg = v
@@ -929,5 +971,34 @@ impl RoutedClient {
             _ => self.bootstrap.clone(),
         };
         TcpClient::verify_with_failover(&addrs, self.read_timeout, req, &self.retry)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicate_batches_cover_every_line_in_order_under_the_cap() {
+        // Quotes escape to two bytes each, so encoded size, not raw
+        // length, must decide the split.
+        let line = |i: usize| format!("{{\"n\":{i},\"pad\":\"{}\"}}", "\"".repeat(40_000));
+        let lines: Vec<String> = (0..120).map(line).collect();
+        let batches = replicate_batches(&lines);
+        assert!(batches.len() > 1, "a tail over the cap must split");
+        for batch in &batches {
+            let encoded = Request::Replicate {
+                lines: batch.to_vec(),
+            }
+            .encode();
+            assert!(encoded.len() <= MAX_LINE_BYTES, "{}", encoded.len());
+        }
+        let rejoined: Vec<&String> = batches.iter().flat_map(|b| b.iter()).collect();
+        assert_eq!(rejoined, lines.iter().collect::<Vec<_>>());
+
+        assert!(replicate_batches(&[]).is_empty());
+        let huge = vec!["a".to_string(), "b".repeat(MAX_LINE_BYTES), "c".to_string()];
+        let batches = replicate_batches(&huge);
+        assert_eq!(batches, vec![&huge[..1], &huge[1..2], &huge[2..]]);
     }
 }

@@ -18,9 +18,11 @@ use crate::faults::{Fault, Hook};
 use crate::json::Json;
 use crate::registry;
 
-/// Longest request line a connection accepts, newline excluded. The
-/// largest legitimate request — a replicated journal record carrying a
-/// long counterexample — stays orders of magnitude below it. A longer
+/// Longest request line a connection accepts, newline excluded. A
+/// single verify request stays orders of magnitude below it; a
+/// `replicate` request carries a batch of journal records, and senders
+/// split a journal tail into batches that fit
+/// ([`replicate_batches`](crate::client::replicate_batches)). A longer
 /// line gets a typed `line_too_long` refusal and the connection closes.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 

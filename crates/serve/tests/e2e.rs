@@ -329,3 +329,22 @@ fn oversized_line_is_refused_and_the_server_keeps_serving() {
     let mut fresh = TcpClient::connect(addr).expect("the server still accepts");
     fresh.stats().expect("stats on a fresh session");
 }
+
+#[test]
+fn replicate_drops_a_record_too_long_to_ship_and_sends_the_rest() {
+    let mut client = spawn_server(EngineOptions::default());
+    let lines = vec![
+        "not a frame".to_string(),
+        "x".repeat(MAX_LINE_BYTES),
+        "not a frame either".to_string(),
+    ];
+    // The short lines reach the server and fail its CRC check. The long
+    // one would be refused with the connection, so it is dropped unsent.
+    assert_eq!(client.replicate(&lines).expect("replicate"), (0, 0, 3));
+    let stats = client.stats().expect("the session keeps serving");
+    assert_eq!(
+        stats.get("replicated_dropped").and_then(|v| v.as_int()),
+        Some(2),
+        "only the short lines were sent"
+    );
+}

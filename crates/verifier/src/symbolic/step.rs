@@ -68,7 +68,7 @@ pub fn successors(service: &Service, table: &CTable, cfg: &SymConfig) -> Vec<Sym
             // constant its page's rules mention provided (checked on page
             // entry), so no target body can stop on an unprovided one.
             let (evals, unprovided) = eval_branching(&ctx, c, &BTreeMap::new(), &rule.body);
-            debug_assert!(!unprovided, "provision checked on page entry");
+            assert!(!unprovided, "provision checked on page entry");
             for (c2, v) in evals {
                 if !v {
                     next.push((c2, target, false));
