@@ -64,8 +64,49 @@ struct Builder {
     nodes: Vec<(BTreeSet<FId>, BTreeSet<FId>, BTreeSet<NodeId>)>, // old, next, incoming
 }
 
+/// A pending step of the tableau construction. The construction is a
+/// depth-first search that goes as deep as the automaton is large, not
+/// as deep as the formula, so it runs on an explicit stack instead of
+/// the call stack. Steps pop in exactly the order the recursive
+/// formulation would make them, so formula ids, node ids and the
+/// automaton are unchanged.
+enum Task {
+    Expand(ProtoNode),
+    /// The branches `fs[next..]` of a disjunction, each expanded from
+    /// `node` after the previous branch has been fully expanded.
+    OrBranches {
+        node: ProtoNode,
+        fs: Vec<Pnf>,
+        next: usize,
+    },
+}
+
 impl Builder {
-    fn expand(&mut self, mut node: ProtoNode) {
+    fn run(&mut self, root: ProtoNode) {
+        let mut stack = vec![Task::Expand(root)];
+        while let Some(task) = stack.pop() {
+            match task {
+                Task::Expand(node) => self.expand(node, &mut stack),
+                Task::OrBranches { node, fs, next } => {
+                    let Some(g) = fs.get(next) else { continue };
+                    let gid = self.intern(g);
+                    let mut branch = node.clone();
+                    if !branch.old.contains(&gid) {
+                        branch.new.insert(gid);
+                    }
+                    stack.push(Task::OrBranches {
+                        node,
+                        fs,
+                        next: next + 1,
+                    });
+                    stack.push(Task::Expand(branch));
+                }
+            }
+        }
+    }
+
+    /// Processes one obligation of `node`, pushing the steps that follow.
+    fn expand(&mut self, mut node: ProtoNode, stack: &mut Vec<Task>) {
         let Some(&eta) = node.new.iter().next() else {
             // New is empty: close the node.
             let key = (node.old.clone(), node.next.clone());
@@ -85,12 +126,12 @@ impl Builder {
                 old: BTreeSet::new(),
                 next: BTreeSet::new(),
             };
-            self.expand(succ);
+            stack.push(Task::Expand(succ));
             return;
         };
         node.new.remove(&eta);
         if node.old.contains(&eta) {
-            self.expand(node);
+            stack.push(Task::Expand(node));
             return;
         }
         let formula = self.interner.get(eta).clone();
@@ -100,7 +141,7 @@ impl Builder {
                 // Recorded in Old so that acceptance checks (`rhs ∈ Old`)
                 // see trivially fulfilled untils like `φ U true`.
                 node.old.insert(eta);
-                self.expand(node);
+                stack.push(Task::Expand(node));
             }
             Pnf::Lit { prop, positive } => {
                 let negid = self.interner.intern(&Pnf::Lit {
@@ -111,7 +152,7 @@ impl Builder {
                     return; // contradictory literals: discard
                 }
                 node.old.insert(eta);
-                self.expand(node);
+                stack.push(Task::Expand(node));
             }
             Pnf::And(fs) => {
                 node.old.insert(eta);
@@ -121,24 +162,17 @@ impl Builder {
                         node.new.insert(gid);
                     }
                 }
-                self.expand(node);
+                stack.push(Task::Expand(node));
             }
             Pnf::Or(fs) => {
                 node.old.insert(eta);
-                for g in &fs {
-                    let gid = self.intern(g);
-                    let mut branch = node.clone();
-                    if !branch.old.contains(&gid) {
-                        branch.new.insert(gid);
-                    }
-                    self.expand(branch);
-                }
+                stack.push(Task::OrBranches { node, fs, next: 0 });
             }
             Pnf::X(g) => {
                 node.old.insert(eta);
                 let gid = self.intern(&g);
                 node.next.insert(gid);
-                self.expand(node);
+                stack.push(Task::Expand(node));
             }
             Pnf::U(a, b) => {
                 node.old.insert(eta);
@@ -150,13 +184,13 @@ impl Builder {
                     n1.new.insert(aid);
                 }
                 n1.next.insert(eta);
-                self.expand(n1);
                 // Branch 2: b holds now — fulfilled.
                 let mut n2 = node;
                 if !n2.old.contains(&bid) {
                     n2.new.insert(bid);
                 }
-                self.expand(n2);
+                stack.push(Task::Expand(n2));
+                stack.push(Task::Expand(n1));
             }
             Pnf::R(a, b) => {
                 node.old.insert(eta);
@@ -168,7 +202,6 @@ impl Builder {
                     n1.new.insert(bid);
                 }
                 n1.next.insert(eta);
-                self.expand(n1);
                 // Branch 2: a & b hold now — released.
                 let mut n2 = node;
                 for id in [aid, bid] {
@@ -176,7 +209,8 @@ impl Builder {
                         n2.new.insert(id);
                     }
                 }
-                self.expand(n2);
+                stack.push(Task::Expand(n2));
+                stack.push(Task::Expand(n1));
             }
         }
     }
@@ -195,7 +229,7 @@ pub fn translate(f: &Pnf) -> Buchi {
         nodes: Vec::new(),
     };
     let root = b.intern(f);
-    b.expand(ProtoNode {
+    b.run(ProtoNode {
         incoming: BTreeSet::from([INIT_MARK]),
         new: BTreeSet::from([root]),
         old: BTreeSet::new(),
@@ -414,5 +448,22 @@ mod tests {
             let lasso: Vec<PropSet> = (0..lasso_len).map(|_| mk(&mut rnd)).collect();
             check(&f, &stem, &lasso);
         }
+    }
+
+    #[test]
+    fn large_tableaux_do_not_grow_the_call_stack() {
+        // The tableau search goes as deep as the automaton is large:
+        // `!p0 R (!p0 R (… R !p0))` with 6 releases (the negation of a
+        // chain of untils) has 2^7 - 1 states. The recursive construction
+        // overflowed a 256 KiB stack on it; the explicit work stack runs
+        // in constant call depth.
+        let f = (0..6).fold(Pnf::nprop(0), |acc, _| Pnf::release(Pnf::nprop(0), acc));
+        let states = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || translate(&f).len())
+            .unwrap()
+            .join()
+            .expect("translation fits a 256 KiB stack");
+        assert_eq!(states, (1 << 7) - 1);
     }
 }

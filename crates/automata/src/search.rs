@@ -43,13 +43,6 @@ pub struct SearchStats {
     /// Peak size of the search frontier (BFS layer width, or the deepest
     /// DFS stack, whichever the phase uses).
     pub peak_frontier: usize,
-    /// Successor lists computed *ahead of* the search by overlap
-    /// prefetch workers (zero when no workers ran). Scheduling-dependent:
-    /// varies run to run and across thread counts, never the verdict.
-    pub prefetched: usize,
-    /// Search-side successor lookups served by a worker-prefetched entry.
-    /// Scheduling-dependent, like [`SearchStats::prefetched`].
-    pub prefetch_hits: u64,
     /// Wall time of the verdict-producing search phase.
     pub search_wall: Duration,
     /// Rules removed by the cone-of-influence slicer before the search
@@ -70,14 +63,12 @@ impl std::fmt::Display for SearchStats {
         write!(
             f,
             "interned {} (dedup {}), memoized {} (hits {}), peak frontier {}, \
-             prefetched {} (hits {}), sliced {} rules / {} relations, search {:?}{}",
+             sliced {} rules / {} relations, search {:?}{}",
             self.nodes_interned,
             self.dedup_hits,
             self.successors_memoized,
             self.memo_hits,
             self.peak_frontier,
-            self.prefetched,
-            self.prefetch_hits,
             self.sliced_rules,
             self.sliced_relations,
             self.search_wall,
@@ -207,8 +198,6 @@ where
             successors_memoized: self.memoized,
             memo_hits: self.memo_hits,
             peak_frontier,
-            prefetched: 0,
-            prefetch_hits: 0,
             search_wall: started.elapsed(),
             sliced_rules: 0,
             sliced_relations: 0,

@@ -31,35 +31,6 @@ fn pages_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// The frontier phase warms the per-config successor memo with worker
-/// threads; the verdict is required to stay byte-identical across the
-/// sweep (the sequential nested DFS always decides).
-fn threads_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("T1_frontier_threads");
-    g.sample_size(10);
-    let service = page_ring(8);
-    let prop = parse_property("G (!(P0 & go) | X P1)").unwrap();
-    let base = verify_ltl(&service, &prop, &SymbolicOptions::default()).unwrap();
-    for threads in [1usize, 2, 4] {
-        let opts = SymbolicOptions {
-            threads,
-            ..SymbolicOptions::default()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                let out = verify_ltl(&service, &prop, &opts).unwrap();
-                assert_eq!(
-                    out.verdict, base.verdict,
-                    "thread count changed the verdict"
-                );
-            })
-        });
-        let out = verify_ltl(&service, &prop, &opts).unwrap();
-        println!("  [stats] threads={threads}: {}", out.stats);
-    }
-    g.finish();
-}
-
 fn arity_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("T1_state_arity");
     g.sample_size(10);
@@ -82,5 +53,5 @@ fn arity_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, pages_sweep, threads_sweep, arity_sweep);
+criterion_group!(benches, pages_sweep, arity_sweep);
 criterion_main!(benches);

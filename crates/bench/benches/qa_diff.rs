@@ -1,7 +1,7 @@
 //! EXP-QA — throughput of the `wave-qa` differential oracle.
 //!
 //! Measures one full differential case (generation, the three engine
-//! legs, three thread counts, both metamorphoses, and concrete replay
+//! legs, slicing on and off, both metamorphoses, and concrete replay
 //! of every counterexample) per seed, for one seed of each generated
 //! service shape. This is the cost model behind the CI `qa-fuzz` job's
 //! seed budget: 200 seeds complete in well under the job's 120 s

@@ -3,38 +3,36 @@
 //! Runs the Fig. 2 payment-safety property (`forall p . G (!ship(p) |
 //! paid)`) on the **checkout bench** service — the checkout core scaled
 //! by independent toggle flags to ~16× its state count, large enough
-//! that search time dominates per-run setup — through two paths and
+//! that search time dominates per-run setup — through three paths and
 //! writes one JSON report, `BENCH_symbolic.json`, at the repo root:
 //!
-//! 1. **Threads sweep** — direct `verify_ltl` at 1/2/4/8 worker
-//!    threads, reporting per entry the sample count, the minimum and
-//!    median wall time, and the full `SearchStats` (the deterministic
-//!    counters must be identical across thread counts; only wall times
-//!    and prefetch-overlap counters move). The sweep pins `slice:
-//!    false`: cone-of-influence slicing (on by default) removes the
-//!    very toggle flags that scale this service up, and the thread
-//!    measurements need the full search.
-//! 2. **Slice sweep** — the same request at threads=1 with slicing on
-//!    vs off. The Fig. 2 property's cone excludes every toggle flag, so
-//!    the sliced search collapses back to roughly the checkout core;
-//!    the entry records the node-count and wall-time reduction (the
-//!    headline numbers for the slicer) and asserts the verdict is
-//!    unchanged.
+//! 1. **Unsliced** — direct `verify_ltl` at the default options with
+//!    `slice: false`, reporting the sample count, the minimum, median
+//!    and maximum wall time, and the full `SearchStats`. Slicing (on by
+//!    default) removes the very toggle flags that scale this service
+//!    up, so this entry is the one that measures the full search.
+//! 2. **Slice sweep** — the same request with slicing on vs off. The
+//!    Fig. 2 property's cone excludes every toggle flag, so the sliced
+//!    search collapses back to roughly the checkout core; the entry
+//!    records the node-count and wall-time reduction (the headline
+//!    numbers for the slicer) and asserts the verdict is unchanged.
 //! 3. **Service path** — the same request submitted twice through a
 //!    `wave-serve` engine: the cold run pays for the search, the second
 //!    must be a content-addressed cache hit, so the hit/cold timing
 //!    ratio is the headline number for the result cache.
 //!
-//! Sample count comes from `WAVE_BENCH_SAMPLES` (default 3).
+//! Sample count comes from `WAVE_BENCH_SAMPLES` (default 5).
 //!
 //! Usage: `cargo run --release -p wave-bench --bin bench_symbolic
 //! [-- --out PATH] [-- --smoke]`.
 //!
-//! `--smoke` is the CI regression tripwire: it sweeps only threads
-//! {1, 4}, skips the service path and the report file, and exits
-//! nonzero if the threads=4 minimum wall exceeds the threads=1 minimum
-//! by more than 10% — the exact regression this benchmark exists to
-//! catch (threads used to make verification strictly slower).
+//! `--smoke` is the CI tripwire for the one place the system runs
+//! searches in parallel, the engine's worker pool. Each sample submits
+//! four distinct cold `checkout_bench` properties from two threads to a
+//! fresh `Engine`, once with one worker and once with two. It skips the
+//! report file and exits nonzero if the two-worker minimum wall exceeds
+//! the one-worker minimum by more than 10%: a second worker must never
+//! make a batch of independent requests slower.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -49,10 +47,15 @@ use wave_verifier::symbolic::{verify_ltl, SearchStats, SymbolicOptions, Verdict}
 
 const FIG2_PROPERTY: &str = "forall p . G (!ship(p) | paid)";
 const SERVICE: &str = "checkout_bench";
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-const SMOKE_SWEEP: [usize; 2] = [1, 4];
-/// `--smoke` fails when threads=4 is more than this factor over
-/// threads=1 (minimum over samples on both sides).
+/// The `--smoke` batch: four distinct properties, each a cold search.
+const SMOKE_PROPERTIES: [&str; 4] = [
+    FIG2_PROPERTY,
+    "G !paid",
+    "forall p . G !ship(p)",
+    "forall p . F ship(p)",
+];
+/// `--smoke` fails when two workers are more than this factor over one
+/// (minimum over samples on both sides).
 const SMOKE_TOLERANCE: f64 = 1.1;
 
 fn samples() -> usize {
@@ -60,7 +63,7 @@ fn samples() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(3)
+        .unwrap_or(5)
 }
 
 /// Repo root at build time; `--out` overrides at run time.
@@ -70,23 +73,20 @@ fn default_out() -> PathBuf {
         .join("BENCH_symbolic.json")
 }
 
-struct SweepEntry {
-    threads: usize,
+struct Entry {
     wall_us_min: u64,
     verdict: Verdict,
     stats: SearchStats,
     json: Json,
 }
 
-fn sweep_entry(
+fn entry(
     service: &wave_core::service::Service,
     property: &wave_logic::temporal::Property,
-    threads: usize,
     n: usize,
     slice: bool,
-) -> SweepEntry {
+) -> Entry {
     let opts = SymbolicOptions {
-        threads,
         slice,
         ..SymbolicOptions::default()
     };
@@ -103,25 +103,64 @@ fn sweep_entry(
     walls.sort_unstable();
     let wall_us_min = walls[0];
     let wall_us_median = walls[walls.len() / 2];
+    let wall_us_max = walls[walls.len() - 1];
     let json = Json::Obj(vec![
-        ("threads".into(), Json::Int(threads as i64)),
         ("samples".into(), Json::Int(n as i64)),
         ("wall_us_min".into(), Json::Int(wall_us_min as i64)),
         ("wall_us_median".into(), Json::Int(wall_us_median as i64)),
+        ("wall_us_max".into(), Json::Int(wall_us_max as i64)),
         ("stats".into(), stats_to_json(&out.stats)),
     ]);
     eprintln!(
-        "threads={threads}: min {wall_us_min} us, median {wall_us_median} us over {n} samples \
-         ({} nodes)",
+        "slice={slice}: min {wall_us_min} us, median {wall_us_median} us, max {wall_us_max} us \
+         over {n} samples ({} nodes)",
         out.stats.nodes_interned
     );
-    SweepEntry {
-        threads,
+    Entry {
         wall_us_min,
         verdict: out.verdict,
         stats: out.stats,
         json,
     }
+}
+
+fn request(property: &str) -> VerifyRequest {
+    VerifyRequest {
+        service: SERVICE.into(),
+        property: property.into(),
+        mode: Mode::Ltl,
+        node_limit: 0,
+        threads: 1,
+        deadline_us: 0,
+        check_owner: false,
+    }
+}
+
+/// Wall time for a fresh engine with `workers` workers to answer
+/// [`SMOKE_PROPERTIES`] submitted from two threads (two properties
+/// each). Every submission must run cold.
+fn pool_batch_us(workers: usize) -> u64 {
+    let engine = Arc::new(Engine::new(EngineOptions {
+        workers,
+        ..EngineOptions::default()
+    }));
+    let t0 = Instant::now();
+    let senders: Vec<_> = SMOKE_PROPERTIES
+        .chunks(2)
+        .map(|props| {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                for p in props {
+                    let reply = engine.submit(&request(p)).expect("smoke submit succeeds");
+                    assert!(!reply.cache_hit, "every smoke property must run cold");
+                }
+            })
+        })
+        .collect();
+    for s in senders {
+        s.join().expect("smoke sender panicked");
+    }
+    t0.elapsed().as_micros() as u64
 }
 
 fn main() {
@@ -135,57 +174,40 @@ fn main() {
         .unwrap_or_else(default_out);
     let n = samples();
 
-    let service = site::checkout_bench();
-    let property = parse_property(FIG2_PROPERTY).expect("Fig. 2 property parses");
-
-    // 1. Threads sweep via the verifier directly, slicing off: the
-    // measurement needs the full toggle-scaled search.
-    let plan: &[usize] = if smoke { &SMOKE_SWEEP } else { &THREAD_SWEEP };
-    let mut sweep = Vec::new();
-    for &threads in plan {
-        let entry = sweep_entry(&service, &property, threads, n, false);
-        if let Some(base) = sweep.first() {
-            let base: &SweepEntry = base;
-            assert_eq!(
-                base.verdict, entry.verdict,
-                "verdict must not depend on threads"
-            );
-        }
-        sweep.push(entry);
-    }
-
     if smoke {
-        let t1 = sweep
-            .iter()
-            .find(|e| e.threads == 1)
-            .expect("threads=1 entry")
-            .wall_us_min as f64;
-        let t4 = sweep
-            .iter()
-            .find(|e| e.threads == 4)
-            .expect("threads=4 entry")
-            .wall_us_min as f64;
-        if t4 > t1 * SMOKE_TOLERANCE {
+        // Alternate the two pool sizes so host drift hits both alike.
+        let (mut w1, mut w2) = (u64::MAX, u64::MAX);
+        for _ in 0..n {
+            w1 = w1.min(pool_batch_us(1));
+            w2 = w2.min(pool_batch_us(2));
+        }
+        let (w1, w2) = (w1 as f64, w2 as f64);
+        if w2 > w1 * SMOKE_TOLERANCE {
             eprintln!(
-                "SMOKE FAIL: threads=4 min wall {t4} us exceeds threads=1 min wall {t1} us \
-                 by more than {:.0}% — the parallel-search regression is back",
+                "SMOKE FAIL: workers=2 batch min {w2} us exceeds workers=1 batch min {w1} us \
+                 by more than {:.0}%",
                 (SMOKE_TOLERANCE - 1.0) * 100.0
             );
             std::process::exit(1);
         }
-        eprintln!("smoke ok: threads=4 min {t4} us vs threads=1 min {t1} us");
+        eprintln!(
+            "smoke ok: workers=2 batch min {w2} us vs workers=1 batch min {w1} us \
+             over {n} samples each"
+        );
         return;
     }
 
-    // 2. Slicing on vs off at threads=1. The cone of `forall p . G
-    // (!ship(p) | paid)` reaches ship, paid, pick_pid and their feeding
-    // inputs but none of the bench toggle flags, so the sliced search
-    // is the checkout core's — the reduction is the slicer's headline.
-    let full = sweep
-        .iter()
-        .find(|e| e.threads == 1)
-        .expect("threads=1 entry");
-    let sliced = sweep_entry(&service, &property, 1, n, true);
+    let service = site::checkout_bench();
+    let property = parse_property(FIG2_PROPERTY).expect("Fig. 2 property parses");
+
+    // 1. The full toggle-scaled search, via the verifier directly.
+    let full = entry(&service, &property, n, false);
+
+    // 2. Slicing on vs off. The cone of `forall p . G (!ship(p) | paid)`
+    // reaches ship, paid, pick_pid and their feeding inputs but none of
+    // the bench toggle flags, so the sliced search is the checkout
+    // core's — the reduction is the slicer's headline.
+    let sliced = entry(&service, &property, n, true);
     // Kind identity, not structural equality: `Holds` carries the
     // explored-node count, which slicing legitimately shrinks.
     assert!(
@@ -219,7 +241,6 @@ fn main() {
         sliced.stats.sliced_relations
     );
     let slice_report = Json::Obj(vec![
-        ("threads".into(), Json::Int(1)),
         ("samples".into(), Json::Int(n as i64)),
         (
             "off".into(),
@@ -254,16 +275,8 @@ fn main() {
     ]);
 
     // 3. Cold vs. cache-hit timings through the service.
-    let engine = Arc::new(Engine::new(EngineOptions::default()));
-    let req = VerifyRequest {
-        service: SERVICE.into(),
-        property: FIG2_PROPERTY.into(),
-        mode: Mode::Ltl,
-        node_limit: 0,
-        threads: 1,
-        deadline_us: 0,
-        check_owner: false,
-    };
+    let engine = Engine::new(EngineOptions::default());
+    let req = request(FIG2_PROPERTY);
     let t0 = Instant::now();
     let cold = engine.submit(&req).expect("cold submit succeeds");
     let cold_us = t0.elapsed().as_micros() as u64;
@@ -286,10 +299,7 @@ fn main() {
         ("service".into(), Json::str(SERVICE)),
         ("property".into(), Json::str(FIG2_PROPERTY)),
         ("samples".into(), Json::Int(n as i64)),
-        (
-            "threads_sweep".into(),
-            Json::Arr(sweep.iter().map(|e| e.json.clone()).collect()),
-        ),
+        ("unsliced".into(), full.json),
         ("slice_sweep".into(), slice_report),
         (
             "cache".into(),

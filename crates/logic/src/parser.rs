@@ -27,6 +27,13 @@
 //! declaration, and a **named constant** otherwise — matching the paper's
 //! convention (`name`, `password` are constants; `x, y, pid` variables).
 //! The single letters `X F G U B E A` are reserved operator tokens.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels: every prefix operator,
+//! quantifier, parenthesis and right-associative `->`/`U`/`B` step
+//! counts one. The parser recurses once per level, and so does every
+//! later pass over the tree (NNF/PNF, LTL→Büchi, fingerprinting, lint),
+//! so the cap is what turns a hostile `((((…` into a typed
+//! [`ParseError`] instead of a stack overflow that aborts the process.
 
 use std::fmt;
 
@@ -68,6 +75,11 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Deepest nesting the parser accepts (see the module docs for what
+/// counts as a level). The same cap as the serving protocol's JSON
+/// depth; written properties nest under a dozen levels.
+pub const MAX_NESTING: usize = 128;
 
 const RESERVED_OPS: &[&str] = &["X", "F", "G", "U", "B", "E", "A"];
 const KEYWORDS: &[&str] = &["true", "false", "exists", "forall"];
@@ -233,6 +245,8 @@ struct Parser<'a> {
     pos: usize,
     scope: Vec<Var>,
     spans: SpanTable,
+    /// Levels currently open, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -243,6 +257,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             scope: free.iter().map(|s| s.to_string()).collect(),
             spans: SpanTable::new(),
+            depth: 0,
         })
     }
 
@@ -292,6 +307,20 @@ impl<'a> Parser<'a> {
         ParseError::at(self.lx.src, self.here(), msg)
     }
 
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("formula nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn parse_temporal(&mut self) -> Result<TFormula, ParseError> {
         self.parse_iff()
     }
@@ -310,7 +339,7 @@ impl<'a> Parser<'a> {
         let lhs = self.parse_or()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.bump();
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Self::parse_implies)?;
             Ok(timplies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -341,7 +370,7 @@ impl<'a> Parser<'a> {
             Some(Tok::Ident(op)) if op == "U" || op == "B" => {
                 let op = op.clone();
                 self.bump();
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(if op == "U" {
                     TFormula::until(lhs, rhs)
                 } else {
@@ -356,12 +385,12 @@ impl<'a> Parser<'a> {
         match self.peek().cloned() {
             Some(Tok::Bang) => {
                 self.bump();
-                let f = self.parse_unary()?;
+                let f = self.nested(Self::parse_unary)?;
                 Ok(tnot(f))
             }
             Some(Tok::Ident(id)) if RESERVED_OPS.contains(&id.as_str()) => {
                 self.bump();
-                let f = self.parse_unary()?;
+                let f = self.nested(Self::parse_unary)?;
                 Ok(match id.as_str() {
                     "X" => TFormula::next(f),
                     "F" => TFormula::eventually(f),
@@ -388,7 +417,7 @@ impl<'a> Parser<'a> {
                 self.expect(&Tok::Dot, "`.` after quantified variables")?;
                 let depth = self.scope.len();
                 self.scope.extend(vars.iter().cloned());
-                let body = self.parse_unary()?;
+                let body = self.nested(Self::parse_unary)?;
                 self.scope.truncate(depth);
                 let fo = to_fo(&body).ok_or_else(|| {
                     self.err("FO quantifier body may not contain temporal operators".into())
@@ -409,7 +438,7 @@ impl<'a> Parser<'a> {
         match self.peek().cloned() {
             Some(Tok::LParen) => {
                 self.bump();
-                let f = self.parse_temporal()?;
+                let f = self.nested(Self::parse_temporal)?;
                 self.expect(&Tok::RParen, "`)`")?;
                 // A parenthesized formula may still be an equality LHS?
                 // No: equalities use term syntax, not parens. Done.
@@ -905,5 +934,41 @@ mod tests {
         .unwrap();
         assert_eq!(f.constants_used().len(), 2);
         assert_eq!(f.relations_used().len(), 2);
+    }
+
+    /// `n` copies of `open`, then `p`, then `n` copies of `close`.
+    fn nest(open: &str, close: &str, n: usize) -> String {
+        format!("{}p{}", open.repeat(n), close.repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        // Each construct that recurses is accepted at the cap and refused
+        // one level past it.
+        for (open, close) in [
+            ("(", ")"),
+            ("X ", ""),
+            ("!", ""),
+            ("exists x . ", ""),
+            ("p -> ", ""),
+            ("p U ", ""),
+            ("p B ", ""),
+        ] {
+            let at_cap = nest(open, close, MAX_NESTING);
+            assert!(parse_property(&at_cap).is_ok(), "`{open}` at the cap");
+            let e = parse_property(&nest(open, close, MAX_NESTING + 1)).unwrap_err();
+            assert!(e.msg.contains("nested deeper than 128"), "`{open}`: {e}");
+        }
+        // The cap is per open level, not per formula.
+        let wide = vec![nest("(", ")", MAX_NESTING); 4].join(" & ");
+        assert!(parse_property(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_depth_returns_err_instead_of_overflowing() {
+        // Each of these overflowed an 8 MiB stack before the cap.
+        for (open, close, n) in [("!", "", 100_000), ("G ", "", 100_000), ("(", ")", 10_000)] {
+            assert!(parse_property(&nest(open, close, n)).is_err());
+        }
     }
 }

@@ -12,22 +12,12 @@
 //!   propositional services and closed LTL properties, `A φ` checked on
 //!   the per-database Kripke structure must match the enumerative
 //!   verdict on that database.
-//! * **thread counts**: the symbolic verdict is documented to be
-//!   byte-identical for `threads ∈ {1, 2, 8}` — demanded, not assumed.
-//!   The threaded legs run with `force_overlap` so prefetch workers are
-//!   genuinely spawned even on single-core machines, and the structural
-//!   [`SearchStats`] counters
-//!   (`nodes_interned`, `dedup_hits`, `successors_memoized`,
-//!   `memo_hits`, `peak_frontier`) must also match the sequential base;
-//!   only wall-clock and prefetch-overlap counters may differ.
 //! * **slice vs full**: the cone-of-influence slicer
 //!   ([`wave_core::slice`]) is on by default in the symbolic engine, so
 //!   the base run is sliced; a `slice: false` leg re-verifies the full
-//!   service sequentially and at every diffed thread count. Both
-//!   conclusive verdicts must agree in kind — the certified-reduction
-//!   claim (DESIGN.md §12) demanded on every generated case — and the
-//!   slice-off threaded runs must stay byte-identical to the slice-off
-//!   sequential run. Counterexamples are replayed against the **full**
+//!   service. Both conclusive verdicts must agree in kind — the
+//!   certified-reduction claim (DESIGN.md §12) demanded on every
+//!   generated case. Counterexamples are replayed against the **full**
 //!   service regardless (the enumerative sweep below never slices).
 //! * **metamorphic permutations**: shuffling rules, declarations, pages
 //!   and database facts must keep the service's canonical
@@ -55,7 +45,7 @@ use wave_verifier::dbgen;
 use wave_verifier::enumerative::{verify_ltl_on_db, EnumOptions, EnumOutcome};
 use wave_verifier::precheck::precheck;
 use wave_verifier::replay::replay_outcome;
-use wave_verifier::symbolic::{verify_ltl, SearchStats, SymbolicOptions, Verdict};
+use wave_verifier::symbolic::{verify_ltl, SymbolicOptions, Verdict};
 
 use crate::spec::{rename_idents, ServiceSpec};
 
@@ -72,8 +62,6 @@ pub struct DiffOptions {
     pub db_domain: usize,
     /// Cap on enumerated databases per case.
     pub db_max: usize,
-    /// Extra symbolic thread counts diffed against the sequential base.
-    pub threads: Vec<usize>,
 }
 
 impl Default for DiffOptions {
@@ -84,7 +72,6 @@ impl Default for DiffOptions {
             fresh_values: 2,
             db_domain: 2,
             db_max: 6,
-            threads: vec![2, 8],
         }
     }
 }
@@ -98,10 +85,6 @@ pub enum FlawKind {
     Inadmissible,
     /// An engine returned an error on an admissible request.
     EngineError,
-    /// Symbolic verdicts differ across thread counts.
-    ThreadDivergence,
-    /// Deterministic search counters differ across thread counts.
-    StatsDivergence,
     /// A rule/declaration/fact permutation changed the fingerprint.
     PermutedFingerprint,
     /// A permutation changed a verdict.
@@ -279,7 +262,7 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         return report;
     }
 
-    // Symbolic base run (sequential).
+    // Symbolic base run.
     let sym_opts = SymbolicOptions {
         node_limit: opts.sym_node_limit,
         ..SymbolicOptions::default()
@@ -300,57 +283,6 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         report.inconclusive = true;
     }
 
-    // Thread counts: byte-identical verdicts demanded, and the
-    // deterministic structural counters must survive the overlapped
-    // prefetch too — `force_overlap` spawns real workers even when the
-    // machine has one core, so the concurrent path is always exercised.
-    for &threads in &opts.threads {
-        let t_opts = SymbolicOptions {
-            threads,
-            force_overlap: true,
-            ..sym_opts.clone()
-        };
-        match verify_ltl(&service, &property, &t_opts) {
-            Ok(out) => {
-                if out.verdict != base.verdict {
-                    flaw(
-                        &mut report,
-                        FlawKind::ThreadDivergence,
-                        format!(
-                            "threads={threads}: {:?} vs sequential {:?}",
-                            out.verdict, base.verdict
-                        ),
-                    );
-                }
-                let structural = |s: &SearchStats| {
-                    (
-                        s.nodes_interned,
-                        s.dedup_hits,
-                        s.successors_memoized,
-                        s.memo_hits,
-                        s.peak_frontier,
-                    )
-                };
-                if structural(&out.stats) != structural(&base.stats) {
-                    flaw(
-                        &mut report,
-                        FlawKind::StatsDivergence,
-                        format!(
-                            "threads={threads}: structural stats {:?} vs sequential {:?}",
-                            structural(&out.stats),
-                            structural(&base.stats)
-                        ),
-                    );
-                }
-            }
-            Err(e) => flaw(
-                &mut report,
-                FlawKind::EngineError,
-                format!("threads={threads}: {e}"),
-            ),
-        }
-    }
-
     // Slice-vs-full: the base run above slices (cone-of-influence
     // reduction is on by default), so re-running with `slice: false`
     // checks the certified-reduction claim end to end — the full,
@@ -358,56 +290,29 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
     // runs are conclusive (witness lassos may differ textually between
     // the sliced and full state spaces, and either side may exhaust its
     // node budget first, so only conclusive-kind identity is claimed).
-    // The check repeats at every diffed thread count with forced
-    // overlap, and those slice-off threaded legs must also stay
-    // byte-identical to the slice-off sequential run — the determinism
-    // contract holds in both slicing modes.
     let full_opts = SymbolicOptions {
         slice: false,
         ..sym_opts.clone()
     };
     match verify_ltl(&service, &property, &full_opts) {
-        Ok(full) => {
+        Ok(full)
             if conclusive(&full.verdict)
                 && conclusive(&base.verdict)
-                && kind(&full.verdict) != kind(&base.verdict)
-            {
-                flaw(
-                    &mut report,
-                    FlawKind::SliceDivergence,
-                    format!(
-                        "sliced verdict {} vs full {} (slice dropped {} rules, {} relations)",
-                        kind(&base.verdict),
-                        kind(&full.verdict),
-                        base.stats.sliced_rules,
-                        base.stats.sliced_relations
-                    ),
-                );
-            }
-            for &threads in &opts.threads {
-                let t_opts = SymbolicOptions {
-                    threads,
-                    force_overlap: true,
-                    ..full_opts.clone()
-                };
-                match verify_ltl(&service, &property, &t_opts) {
-                    Ok(out) if out.verdict == full.verdict => {}
-                    Ok(out) => flaw(
-                        &mut report,
-                        FlawKind::SliceDivergence,
-                        format!(
-                            "slice off, threads={threads}: {:?} vs sequential {:?}",
-                            out.verdict, full.verdict
-                        ),
-                    ),
-                    Err(e) => flaw(
-                        &mut report,
-                        FlawKind::EngineError,
-                        format!("slice off, threads={threads}: {e}"),
-                    ),
-                }
-            }
+                && kind(&full.verdict) != kind(&base.verdict) =>
+        {
+            flaw(
+                &mut report,
+                FlawKind::SliceDivergence,
+                format!(
+                    "sliced verdict {} vs full {} (slice dropped {} rules, {} relations)",
+                    kind(&base.verdict),
+                    kind(&full.verdict),
+                    base.stats.sliced_rules,
+                    base.stats.sliced_relations
+                ),
+            );
         }
+        Ok(_) => {}
         Err(e) => flaw(
             &mut report,
             FlawKind::EngineError,
@@ -706,8 +611,7 @@ mod tests {
 
     /// A spec with deliberate dead logic — an unreachable page writing a
     /// state prop nothing reads — must slice (the base run drops rules)
-    /// and still come back clean: the slice-off leg agrees in kind and
-    /// in its own thread determinism.
+    /// and still come back clean: the slice-off leg agrees in kind.
     #[test]
     fn dead_logic_case_slices_and_stays_clean() {
         let mut spec = toggle_spec();

@@ -14,8 +14,8 @@
 //!
 //! * [`gen`] — seeded generation of small services and properties that
 //!   are lint-clean and decidable-by-construction;
-//! * [`diff`] — the differential driver: every applicable engine, three
-//!   thread counts, permutation and renaming metamorphoses, and
+//! * [`diff`] — the differential driver: every applicable engine,
+//!   slice on and off, permutation and renaming metamorphoses, and
 //!   concrete replay of every counterexample;
 //! * [`inc`] — the incremental leg: seeded edit sequences replayed
 //!   through a warm `wave-serve` engine, demanding byte-identical

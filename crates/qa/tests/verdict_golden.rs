@@ -1,8 +1,8 @@
 //! Golden byte-identity test for the symbolic search.
 //!
-//! Records, for a fixed set of (service, property) pairs run at
-//! `threads = 1`, the exact `Debug` bytes of the verdict (lassos
-//! included) and the deterministic search counters `nodes_interned`,
+//! Records, for a fixed set of (service, property) pairs, the exact
+//! `Debug` bytes of the verdict (lassos included) and the deterministic
+//! search counters `nodes_interned`,
 //! `dedup_hits` and `successors_memoized`. Any change to the search's
 //! representation that alters exploration order, deduplication or
 //! rendering shows up here as a diff against the checked-in fixture.

@@ -81,11 +81,13 @@ pub struct VerifyRequest {
     pub mode: Mode,
     /// Node budget (`0` = engine default, see `SymbolicOptions`).
     pub node_limit: usize,
-    /// Frontier-warming threads (`0` = one per core). Excluded from the
-    /// fingerprint: thread count never changes the verdict.
+    /// Accepted and ignored: every search runs on one worker thread.
+    /// Still decoded and encoded so older clients keep working, and
+    /// excluded from the fingerprint.
     pub threads: usize,
     /// Per-job deadline in microseconds (`0` = none). Excluded from the
-    /// fingerprint for the same reason.
+    /// fingerprint: it can only turn a run into `cancelled`, which is
+    /// never cached.
     pub deadline_us: u64,
     /// When set, the node verifies only if its installed membership
     /// view says it owns this request's fingerprint; otherwise it
@@ -315,8 +317,6 @@ pub fn stats_to_json(s: &SearchStats) -> Json {
         ),
         ("memo_hits".into(), Json::Int(s.memo_hits as i64)),
         ("peak_frontier".into(), Json::Int(s.peak_frontier as i64)),
-        ("prefetched".into(), Json::Int(s.prefetched as i64)),
-        ("prefetch_hits".into(), Json::Int(s.prefetch_hits as i64)),
         ("sliced_rules".into(), Json::Int(s.sliced_rules as i64)),
         (
             "sliced_relations".into(),
@@ -343,8 +343,6 @@ pub fn stats_from_json(v: &Json) -> Result<SearchStats, DecodeError> {
         successors_memoized: int("successors_memoized")? as usize,
         memo_hits: int("memo_hits")? as u64,
         peak_frontier: int("peak_frontier")? as usize,
-        prefetched: int("prefetched")? as usize,
-        prefetch_hits: int("prefetch_hits")? as u64,
         sliced_rules: int("sliced_rules")? as usize,
         sliced_relations: int("sliced_relations")? as usize,
         search_wall: us_to_duration(int("search_wall_us")?),
@@ -447,8 +445,6 @@ mod tests {
             successors_memoized: 10,
             memo_hits: 7,
             peak_frontier: 4,
-            prefetched: 6,
-            prefetch_hits: 5,
             sliced_rules: 2,
             sliced_relations: 1,
             search_wall: Duration::from_micros(987_654),
@@ -493,6 +489,26 @@ mod tests {
             // And re-encoding is byte-identical (cache guarantee).
             assert_eq!(outcome_to_json(&back).encode(), text);
         }
+    }
+
+    #[test]
+    fn legacy_prefetch_stats_keys_decode_and_are_no_longer_written() {
+        let o = &sample_outcomes()[0];
+        let text = outcome_to_json(o).encode();
+        assert!(!text.contains("prefetched"), "{text}");
+        assert!(!text.contains("prefetch_hits"), "{text}");
+        // An outcome line written before the two counters were removed
+        // (journals, peers, cached replies) still decodes, to the same
+        // stats as the current encoding.
+        let legacy = text.replace(
+            "\"peak_frontier\":4,",
+            "\"peak_frontier\":4,\"prefetched\":0,\"prefetch_hits\":0,",
+        );
+        assert_ne!(legacy, text, "the legacy keys must actually be spliced in");
+        let old = outcome_from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        let new = outcome_from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(old.stats, new.stats);
+        assert_eq!(old, *o);
     }
 
     #[test]

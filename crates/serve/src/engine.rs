@@ -13,7 +13,7 @@
 //!    space or a worker's verification budget;
 //! 4. computes the request's canonical [`Fingerprint`] over the
 //!    *resolved* `Service` structure, the mode, the property and the
-//!    normalized node budget — `threads` and `deadline_us` are excluded
+//!    normalized node budget — `threads` (ignored) and `deadline_us` are excluded
 //!    because they can never change the verdict;
 //! 5. on a cache hit, replays the stored outcome bytes verbatim
 //!    (`cache_hit: true`, byte-identical to the run that stored them);
@@ -973,7 +973,6 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         let mode = req.mode;
         let node_limit = req.node_limit;
-        let threads = req.threads;
         let job_faults = self.faults.clone();
         let automata = self.tiers.automata();
         let submitted = self.sched.submit(move || {
@@ -985,7 +984,6 @@ impl Engine {
             }
             let opts = SymbolicOptions {
                 node_limit,
-                threads,
                 cancel,
                 automata: Some(automata),
                 ..SymbolicOptions::default()
@@ -1223,7 +1221,7 @@ mod tests {
         let mut r = req("login", "G (!CP | logged_in)");
         r.threads = 4;
         let r2 = e.submit(&r).unwrap();
-        assert!(r2.cache_hit, "thread count cannot change the verdict");
+        assert!(r2.cache_hit, "ignored threads cannot split the cache");
         assert_eq!(r1.outcome_bytes, r2.outcome_bytes);
     }
 
@@ -1319,6 +1317,35 @@ mod tests {
         ));
         assert!(matches!(
             e.submit(&req("toggle", "G (((")),
+            Err(SubmitError::BadProperty(_))
+        ));
+    }
+
+    #[test]
+    fn properties_nested_at_the_parser_cap_are_served() {
+        // Every pass after the parser (lint, fingerprint, slice, NNF/PNF,
+        // LTL→Büchi, search) walks the tree on a worker or connection
+        // stack; at the parser's cap each must still return. (Shapes with
+        // small automata: a chain of untils at the cap is also accepted,
+        // but its automaton has 2^129 states.)
+        use wave_logic::parser::MAX_NESTING;
+        let n = MAX_NESTING;
+        let e = Engine::new(EngineOptions::default());
+        for property in [
+            format!("{}paid", "X ".repeat(n)),
+            format!("{}paid{}", "(".repeat(n), ")".repeat(n)),
+            format!("paid{}", " -> paid".repeat(n)),
+            format!("{}paid{}", "!(".repeat(n / 2), ")".repeat(n / 2)),
+        ] {
+            let r = e
+                .submit(&req("checkout_core", &property))
+                .unwrap_or_else(|err| panic!("{property}: {err}"));
+            assert!(!r.outcome_bytes.is_empty());
+        }
+        // One level deeper is a typed refusal, before any other stage.
+        let deeper = format!("{}paid", "X ".repeat(n + 1));
+        assert!(matches!(
+            e.submit(&req("checkout_core", &deeper)),
             Err(SubmitError::BadProperty(_))
         ));
     }

@@ -4,7 +4,7 @@
 //! wave-serve serve  [--addr 127.0.0.1:7878] [--workers N] [--queue N]
 //!                   [--cache-bytes N] [--persist FILE]
 //! wave-serve submit [--addr 127.0.0.1:7878] --service NAME --property TEXT
-//!                   [--mode ltl|error_free] [--node-limit N] [--threads N]
+//!                   [--mode ltl|error_free] [--node-limit N]
 //!                   [--deadline-us N]
 //! wave-serve stats  [--addr 127.0.0.1:7878]
 //! wave-serve drain  [--addr 127.0.0.1:7878] [--deadline-ms N]
@@ -33,7 +33,7 @@ fn main() -> ExitCode {
                 "  serve  [--addr A] [--workers N] [--queue N] [--cache-bytes N] [--persist FILE]"
             );
             eprintln!("  submit [--addr A] --service NAME --property TEXT [--mode ltl|error_free]");
-            eprintln!("         [--node-limit N] [--threads N] [--deadline-us N]");
+            eprintln!("         [--node-limit N] [--deadline-us N]");
             eprintln!("  stats  [--addr A]");
             eprintln!("  drain  [--addr A] [--deadline-ms N]");
             return ExitCode::from(2);
@@ -96,7 +96,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         property,
         mode,
         node_limit: flag_num(args, "--node-limit", 0usize)?,
-        threads: flag_num(args, "--threads", 1usize)?,
+        threads: 1,
         deadline_us: flag_num(args, "--deadline-us", 0u64)?,
         check_owner: false,
     };

@@ -7,8 +7,8 @@
 //! * a 1 ms-deadline job on the full demo site returns `Cancelled`
 //!   without hanging or panicking, and the worker pool keeps serving;
 //! * worker-pool size (1/2/8) never changes the response bytes;
-//! * hostile input (deep nesting, a multi-MB line) gets a typed refusal
-//!   and the server keeps serving.
+//! * hostile input (deep JSON or formula nesting, a multi-MB line) gets
+//!   a typed refusal and the server keeps serving.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -206,8 +206,6 @@ fn worker_pool_size_never_changes_the_deterministic_outcome() {
         outcome: &wave_verifier::symbolic::VerifyOutcome,
     ) -> impl PartialEq + std::fmt::Debug {
         let mut stats = outcome.stats.clone();
-        stats.prefetched = 0;
-        stats.prefetch_hits = 0;
         stats.search_wall = Duration::ZERO;
         (outcome.verdict.clone(), stats)
     }
@@ -279,6 +277,33 @@ fn hostile_nesting_is_refused_and_the_server_keeps_serving() {
     let reply = client
         .verify(&request("toggle", "G (P | Q)"))
         .expect("verify after the hostile line");
+    assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+}
+
+#[test]
+fn deeply_nested_property_is_refused_and_the_server_keeps_serving() {
+    // A 2 KB line whose property is 1,000 parentheses around `paid` once
+    // overflowed the recursive formula parser on the connection thread
+    // and aborted the process.
+    let addr = spawn_server_addr(EngineOptions::default());
+    let mut bystander = TcpClient::connect(addr).expect("connect");
+    bystander.stats().expect("stats before the hostile line");
+    let property = format!("{}paid{}", "(".repeat(1000), ")".repeat(1000));
+    let hostile = format!(
+        "{{\"cmd\": \"verify\", \"service\": \"checkout_core\", \"property\": \"{property}\", \
+         \"mode\": \"ltl\", \"node_limit\": 0, \"threads\": 1, \"deadline_us\": 0}}"
+    );
+    assert_eq!(hostile.len(), 2129);
+    let mut client = TcpClient::connect(addr).expect("connect");
+    let line = client
+        .round_trip(&hostile)
+        .expect("a typed error line, not a dead server");
+    let reply = wave_serve::json::Json::parse(&line).expect("the error line is JSON");
+    assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert!(line.contains("nested deeper than"), "{line}");
+    let reply = bystander
+        .verify(&request("toggle", "G (P | Q)"))
+        .expect("verify on the bystander session");
     assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
 }
 

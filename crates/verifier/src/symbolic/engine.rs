@@ -8,7 +8,7 @@
 //! freshness discipline of the symbolic semantics the lasso is always
 //! realizable (soundness).
 //!
-//! # Architecture: interned ids, memoized successors, overlapped prefetch
+//! # Architecture: interned ids, memoized successors, one thread
 //!
 //! Product nodes `(SymConfig, büchi state)` are hash-consed to dense ids
 //! by the [`wave_automata::interner::Interner`] inside the nested DFS;
@@ -18,38 +18,27 @@
 //! On top of that, the engine memoizes the **expensive half** of
 //! successor generation — `successors(cfg)` composed with the FO-component
 //! letter evaluation — once per *configuration* (shared by every Büchi
-//! state paired with it). With `threads > 1` this memo is populated
-//! **concurrently with the search**: `std::thread::scope` prefetch
-//! workers expand the configuration graph ahead of the nested DFS,
-//! publishing entries into a sharded table (plain `std` only — no
-//! external registry is required from CI). There is **no phase barrier**:
-//! the search starts immediately, never waits for a worker, and computes
-//! any entry it needs before the prefetchers reach it. (An earlier design
-//! warmed the *entire* memo behind a barrier before the search started,
-//! which made threads strictly slower — the warming phase rebuilt the
-//! whole graph even when the search needed a fraction of it.)
+//! state paired with it). The memo is filled lazily by the search
+//! thread: a missing entry is computed on the spot.
 //!
-//! The prefetch is a pure cache: every memo value is a pure function of
-//! its configuration, and the verdict — including counterexample lassos —
-//! is always produced by the same sequential nested DFS over the same
-//! deterministically ordered successor lists, so outcomes are
-//! **byte-identical for every thread count**.
+//! Each search runs on the calling thread alone. Parallelism lives one
+//! level up, across requests, in the serving engine's worker pool
+//! (DESIGN.md §3.1): a second thread inside one search saved at most a
+//! sixth of an idle sliced run, and cost throughput as soon as two
+//! requests ran side by side.
 //!
 //! # Sharing, not copying
 //!
 //! Each successor configuration is allocated once, behind an `Arc`, when
 //! its predecessor is expanded ([`SuccPairs`]). Product nodes, the memo
-//! keys, the interner, the prefetch tables and the red DFS all hold that
-//! one allocation and clone only the pointer. Inside successor
-//! generation the knowledge store is shared copy-on-write (see
-//! [`SymConfig`]).
+//! keys, the interner and the red DFS all hold that one allocation and
+//! clone only the pointer. Inside successor generation the knowledge
+//! store is shared copy-on-write (see [`SymConfig`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use wave_core::classify;
 use wave_core::service::Service;
@@ -83,21 +72,10 @@ pub struct SymbolicOptions {
     /// The degenerate value `0` is normalized to [`DEFAULT_NODE_LIMIT`]
     /// (a zero-node search could never answer anything).
     pub node_limit: usize,
-    /// Total threads for the run, search thread included: `1` (the
-    /// default) runs purely sequentially, `0` means one per available
-    /// core, `n > 1` lets up to `n - 1` prefetch workers warm the
-    /// successor memo **concurrently with** the search (capped at the
-    /// machine's available parallelism unless
-    /// [`SymbolicOptions::force_overlap`] is set — oversubscribing a
-    /// smaller machine only adds scheduling overhead). The verdict is
-    /// byte-identical for every value — workers only pre-populate the
-    /// successor memo.
+    /// Ignored: every search runs on the calling thread. Kept so
+    /// callers that still set it compile; parallelism comes from running
+    /// several requests at once (the serving engine's worker pool).
     pub threads: usize,
-    /// Spawn `threads - 1` prefetch workers even when the machine reports
-    /// fewer available cores. The default (`false`) is right for
-    /// production; tests and the differential oracle set it so the
-    /// concurrent machinery is genuinely exercised on any machine.
-    pub force_overlap: bool,
     /// Cooperative cancellation: polled at every node expansion. A fired
     /// token surfaces as [`Verdict::Cancelled`] — never a panic. The
     /// default ([`CancelToken::never`]) costs nothing to poll.
@@ -127,7 +105,6 @@ impl Default for SymbolicOptions {
         SymbolicOptions {
             node_limit: DEFAULT_NODE_LIMIT,
             threads: 1,
-            force_overlap: false,
             cancel: CancelToken::never(),
             slice: true,
             automata: None,
@@ -136,14 +113,10 @@ impl Default for SymbolicOptions {
 }
 
 impl SymbolicOptions {
-    /// Replaces degenerate settings with their documented meanings:
-    ///
-    /// * `node_limit == 0` → [`DEFAULT_NODE_LIMIT`]. A literal zero
-    ///   budget would report [`Verdict::LimitReached`] before interning a
-    ///   single node, which no caller ever wants; `0` therefore means
-    ///   "default budget".
-    /// * `threads == 0` → one per available core (as reported by
-    ///   `std::thread::available_parallelism`, falling back to `1`).
+    /// Replaces the degenerate `node_limit == 0` with
+    /// [`DEFAULT_NODE_LIMIT`]. A literal zero budget would report
+    /// [`Verdict::LimitReached`] before interning a single node, which no
+    /// caller ever wants; `0` therefore means "default budget".
     ///
     /// Both entry points ([`verify_ltl`], [`is_error_free`]) normalize on
     /// entry, so callers never need to pre-sanitize.
@@ -154,36 +127,9 @@ impl SymbolicOptions {
             } else {
                 self.node_limit
             },
-            threads: if self.threads == 0 {
-                available_cores()
-            } else {
-                self.threads
-            },
-            force_overlap: self.force_overlap,
-            cancel: self.cancel.clone(),
-            slice: self.slice,
-            automata: self.automata.clone(),
+            ..self.clone()
         }
     }
-
-    /// Effective prefetch worker count for normalized options: one less
-    /// than the thread budget (the search thread takes the first slot),
-    /// capped at the machine's parallelism unless `force_overlap`.
-    fn overlap_workers(&self) -> usize {
-        if self.threads <= 1 {
-            return 0;
-        }
-        if self.force_overlap {
-            return self.threads - 1;
-        }
-        self.threads.min(available_cores()).saturating_sub(1)
-    }
-}
-
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Why verification could not start.
@@ -251,8 +197,7 @@ pub enum Verdict {
 /// The verdict together with the search counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyOutcome {
-    /// The answer. Deterministic: byte-identical for every `threads`
-    /// setting.
+    /// The answer. Deterministic: byte-identical run to run.
     pub verdict: Verdict,
     /// Interning / memoization / timing counters for this run. Wall
     /// times vary run to run; everything else is deterministic.
@@ -272,8 +217,7 @@ impl VerifyOutcome {
 }
 
 /// Per-configuration memo value: the letter-annotated successor
-/// configurations, shared by every Büchi state. The sequential and the
-/// prefetching search both use it.
+/// configurations, shared by every Büchi state.
 type SuccPairs = Vec<(Arc<SymConfig>, PropSet)>;
 
 /// A product node: a shared configuration paired with a Büchi state.
@@ -377,7 +321,7 @@ pub fn verify_ltl(
     // Letter evaluation with branching: every branch yields a (config,
     // letter) pair. A component mentioning an unprovided input constant is
     // not satisfied (Definition 3.1's satisfaction condition). Pure in
-    // `cfg`, so its results can be cached and computed on any thread.
+    // `cfg`, so its results can be cached.
     let letters = |cfg: SymConfig| -> SuccPairs {
         let mut acc: Vec<(SymConfig, PropSet)> = vec![(cfg, PropSet::new())];
         for (i, comp) in table.components.iter().enumerate() {
@@ -440,66 +384,30 @@ pub fn verify_ltl(
         out
     };
 
-    // The search, with the per-configuration memo populated either lazily
-    // on the search thread alone (`workers == 0`) or concurrently by
-    // prefetch workers racing ahead of it. No phase barrier in either
-    // case: the nested DFS starts immediately and never waits on a
-    // worker — a missing entry is computed on the spot. Every memo value
-    // is a pure function of the configuration, so prefetched and
-    // search-computed entries are interchangeable and the traversal
-    // (successor-list content order, never id or thread order) is
-    // byte-identical for every worker count.
-    let workers = opts.overlap_workers();
+    // The search, with the per-configuration memo filled lazily: the
+    // nested DFS computes a missing entry on the spot. The traversal
+    // follows successor-list content order, so the outcome is
+    // deterministic.
     let accepting = |&(_, q): &Node| aut.accepting[q];
-    let (result, stats) = if workers == 0 {
-        let mut memo: HashMap<Arc<SymConfig>, Arc<SuccPairs>> = HashMap::new();
-        let succ = |(cfg, q): &Node| -> Vec<Node> {
-            let pairs = match memo.get(cfg) {
-                Some(p) => p.clone(),
-                None => {
-                    let p = Arc::new(expand(cfg));
-                    memo.insert(Arc::clone(cfg), p.clone());
-                    p
-                }
-            };
-            product(&pairs, *q)
-        };
-        find_accepting_lasso_stats_with(inits, succ, accepting, Some(opts.node_limit), &opts.cancel)
-    } else {
-        let shared = PrefetchShared::new(opts.node_limit);
-        {
-            let mut q = shared.queue.lock().expect("prefetch queue poisoned");
-            q.extend(inits.iter().map(|(c, _)| Arc::clone(c)));
-        }
-        let mut prefetch_hits = 0u64;
-        let (result, mut stats) = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| shared.worker(&expand, &opts.cancel));
+    let mut memo: HashMap<Arc<SymConfig>, Arc<SuccPairs>> = HashMap::new();
+    let succ = |(cfg, q): &Node| -> Vec<Node> {
+        let pairs = match memo.get(cfg) {
+            Some(p) => p.clone(),
+            None => {
+                let p = Arc::new(expand(cfg));
+                memo.insert(Arc::clone(cfg), p.clone());
+                p
             }
-            let succ = |(cfg, q): &Node| -> Vec<Node> {
-                let (pairs, by_worker) = shared.fetch_or_compute(cfg, &expand);
-                if by_worker {
-                    prefetch_hits += 1;
-                }
-                // Feed the discovered frontier to the prefetchers.
-                shared.enqueue_fresh(&pairs);
-                product(&pairs, *q)
-            };
-            let out = find_accepting_lasso_stats_with(
-                inits,
-                succ,
-                accepting,
-                Some(opts.node_limit),
-                &opts.cancel,
-            );
-            // Release the workers before the scope joins them.
-            shared.shutdown();
-            out
-        });
-        stats.prefetched = shared.prefetched.load(Ordering::Relaxed);
-        stats.prefetch_hits = prefetch_hits;
-        (result, stats)
+        };
+        product(&pairs, *q)
     };
+    let (result, mut stats) = find_accepting_lasso_stats_with(
+        inits,
+        succ,
+        accepting,
+        Some(opts.node_limit),
+        &opts.cancel,
+    );
 
     let verdict = match result {
         SearchResult::Empty { explored } => Verdict::Holds { explored },
@@ -510,171 +418,9 @@ pub fn verify_ltl(
         SearchResult::LimitReached { .. } => Verdict::LimitReached,
         SearchResult::Cancelled => Verdict::Cancelled,
     };
-    let mut stats = stats;
     stats.sliced_rules = sliced_rules;
     stats.sliced_relations = sliced_relations;
     Ok(VerifyOutcome { verdict, stats })
-}
-
-/// Number of shards in the prefetch memo (and claim) table.
-const SHARDS: usize = 64;
-
-/// One shard of the shared prefetch memo.
-#[derive(Default)]
-struct Shard {
-    /// Configurations some thread has taken responsibility for, so no
-    /// successor list is computed twice by the *workers* (the search
-    /// thread deliberately never waits on an in-flight claim — it
-    /// recomputes, which is wasted work but never wasted wall time).
-    claimed: HashSet<Arc<SymConfig>>,
-    /// Published successor lists; the flag records whether a prefetch
-    /// worker (true) or the search thread (false) computed the entry.
-    ready: HashMap<Arc<SymConfig>, (Arc<SuccPairs>, bool)>,
-}
-
-/// State shared between the verdict-producing search thread and the
-/// prefetch workers. Purely a cache: racy claim order may vary *which*
-/// thread computes an entry, but every entry's value is a pure function
-/// of its key, so the search is oblivious to the race.
-struct PrefetchShared {
-    shards: Vec<Mutex<Shard>>,
-    /// Work queue of configurations worth prefetching, fed by both the
-    /// search thread (its discovered frontier) and the workers (their
-    /// expansions' successors).
-    queue: Mutex<VecDeque<Arc<SymConfig>>>,
-    /// Wakes idle workers on new work or shutdown.
-    wake: Condvar,
-    /// Set once the search has its answer; workers drain out.
-    done: AtomicBool,
-    /// Expansion tickets claimed by workers; bounded by the node limit so
-    /// prefetching can never outrun the budget of the search it serves.
-    tickets: AtomicUsize,
-    ticket_limit: usize,
-    /// Successor lists computed by workers (the `prefetched` stat).
-    prefetched: AtomicUsize,
-}
-
-impl PrefetchShared {
-    fn new(ticket_limit: usize) -> PrefetchShared {
-        PrefetchShared {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            queue: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
-            done: AtomicBool::new(false),
-            tickets: AtomicUsize::new(0),
-            ticket_limit,
-            prefetched: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard_of(&self, cfg: &SymConfig) -> &Mutex<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        cfg.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    /// Search-thread lookup: returns the published successor list, or
-    /// computes it **immediately** (never blocking on an in-flight
-    /// worker). The flag reports whether a worker supplied the entry.
-    fn fetch_or_compute(
-        &self,
-        cfg: &Arc<SymConfig>,
-        expand: &(impl Fn(&SymConfig) -> SuccPairs + Sync),
-    ) -> (Arc<SuccPairs>, bool) {
-        if let Some(hit) = self
-            .shard_of(cfg)
-            .lock()
-            .expect("prefetch shard poisoned")
-            .ready
-            .get(cfg)
-        {
-            return hit.clone();
-        }
-        let pairs = Arc::new(expand(cfg));
-        let mut shard = self.shard_of(cfg).lock().expect("prefetch shard poisoned");
-        shard.claimed.insert(Arc::clone(cfg));
-        // A worker may have published meanwhile; both values are
-        // identical (pure function of the key), keep the first.
-        let entry = shard
-            .ready
-            .entry(Arc::clone(cfg))
-            .or_insert((pairs, false))
-            .clone();
-        entry
-    }
-
-    /// Queues the configurations of a successor list that no thread has
-    /// claimed or published yet, and wakes the workers.
-    fn enqueue_fresh(&self, pairs: &SuccPairs) {
-        let mut fresh = Vec::new();
-        for (c, _) in pairs {
-            let shard = self.shard_of(c).lock().expect("prefetch shard poisoned");
-            if !shard.claimed.contains(c) && !shard.ready.contains_key(c) {
-                fresh.push(Arc::clone(c));
-            }
-        }
-        if !fresh.is_empty() {
-            let mut q = self.queue.lock().expect("prefetch queue poisoned");
-            q.extend(fresh);
-            self.wake.notify_all();
-        }
-    }
-
-    /// Signals the workers to exit (called by the search thread once the
-    /// verdict is in, *before* the surrounding scope joins them — so a
-    /// scoped worker can never wedge the scope).
-    fn shutdown(&self) {
-        self.done.store(true, Ordering::Release);
-        self.wake.notify_all();
-    }
-
-    /// Worker loop: claim a queued configuration, expand it, publish the
-    /// list, queue its successors. Exits on shutdown, cancellation, or
-    /// ticket exhaustion; the condvar wait is bounded so a missed wakeup
-    /// degrades to a short poll, never a hang.
-    fn worker(&self, expand: &(impl Fn(&SymConfig) -> SuccPairs + Sync), cancel: &CancelToken) {
-        loop {
-            if self.done.load(Ordering::Acquire) || cancel.is_cancelled() {
-                return;
-            }
-            let job = {
-                let mut q = self.queue.lock().expect("prefetch queue poisoned");
-                loop {
-                    if self.done.load(Ordering::Acquire) || cancel.is_cancelled() {
-                        return;
-                    }
-                    if let Some(j) = q.pop_front() {
-                        break j;
-                    }
-                    q = self
-                        .wake
-                        .wait_timeout(q, Duration::from_millis(5))
-                        .expect("prefetch queue poisoned")
-                        .0;
-                }
-            };
-            {
-                let mut shard = self.shard_of(&job).lock().expect("prefetch shard poisoned");
-                if shard.ready.contains_key(&job) || !shard.claimed.insert(Arc::clone(&job)) {
-                    continue; // another thread owns it
-                }
-            }
-            // Budget: claim a ticket; exactly `ticket_limit` succeed, so
-            // prefetching cannot intern-storm past the search's limit.
-            if self.tickets.fetch_add(1, Ordering::Relaxed) >= self.ticket_limit {
-                return;
-            }
-            let pairs = Arc::new(expand(&job));
-            self.enqueue_fresh(&pairs);
-            self.shard_of(&job)
-                .lock()
-                .expect("prefetch shard poisoned")
-                .ready
-                .entry(job)
-                .or_insert((pairs, true));
-            self.prefetched.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Diagnostic: breadth-first exploration of the symbolic configuration
@@ -709,10 +455,8 @@ pub fn explore(service: &Service, property: &Property, limit: usize) -> Vec<Stri
 /// Decides error-freeness (Theorem 3.5(i)): is the error page unreachable
 /// on every database and run? Implemented as layered breadth-first
 /// reachability over the symbolic configuration graph (no automaton
-/// needed — "error free" is the safety property `G ¬W_err`). With
-/// `threads > 1` each layer's successor computations are fanned out to
-/// scoped workers; the layers are merged in frontier order, so the
-/// witness path is byte-identical for every thread count.
+/// needed — "error free" is the safety property `G ¬W_err`). Each layer
+/// is expanded in frontier order, so the witness path is deterministic.
 pub fn is_error_free(
     service: &Service,
     opts: &SymbolicOptions,
@@ -726,14 +470,6 @@ pub fn is_error_free(
         wave_logic::temporal::TFormula::fo(wave_logic::formula::Formula::True),
     ));
     let ctable = CTable::build(service, &property);
-    // Layer fan-out width: oversubscribing a smaller machine only adds
-    // scheduling overhead, so cap at the available cores unless the
-    // caller insists (tests exercising the concurrent path).
-    let threads = if opts.force_overlap {
-        opts.threads
-    } else {
-        opts.threads.min(available_cores())
-    };
     let t0 = Instant::now();
 
     let mut interner: Interner<Arc<SymConfig>> = Interner::new();
@@ -763,8 +499,6 @@ pub fn is_error_free(
         successors_memoized: expanded,
         memo_hits: 0,
         peak_frontier: peak,
-        prefetched: 0,
-        prefetch_hits: 0,
         search_wall: t0.elapsed(),
         // Error-freeness is never sliced: every rule can influence the
         // error conditions (ambiguous/dead targets, constant provision),
@@ -822,41 +556,10 @@ pub fn is_error_free(
                 stats: stats(&interner, expanded, peak),
             });
         }
-        let nodes: Vec<(u32, Arc<SymConfig>)> = frontier
-            .iter()
-            .map(|&id| (id, Arc::clone(interner.get(id))))
-            .collect();
-        expanded += nodes.len();
-        // Successor computation is pure; fan the layer out to workers and
-        // merge the per-chunk results in frontier order (deterministic).
-        let results: Vec<Vec<(u32, Vec<SymConfig>)>> = if threads > 1 && nodes.len() > 1 {
-            let chunk = nodes.len().div_ceil(threads);
-            let ct = &ctable;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = nodes
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(id, cfg)| (*id, successors(service, ct, cfg)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        } else {
-            vec![nodes
-                .iter()
-                .map(|(id, cfg)| (*id, successors(service, &ctable, cfg)))
-                .collect()]
-        };
+        expanded += frontier.len();
         let mut next = Vec::new();
-        for (pid, succs) in results.into_iter().flatten() {
-            for s in succs {
+        for pid in frontier {
+            for s in successors(service, &ctable, interner.get(pid)) {
                 let (id, new) = interner.intern(Arc::new(s));
                 if new {
                     parent.push(Some(pid));
@@ -902,6 +605,7 @@ pub fn is_error_free(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use wave_core::builder::ServiceBuilder;
     use wave_logic::parser::parse_property;
 
@@ -1090,22 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_normalizes_to_available_cores() {
-        // Regression: `threads: 0` means one worker per core, and must
-        // produce the same verdict as the sequential default.
-        let s = toggle();
-        let p = parse_property("G (P | Q)").unwrap();
-        let opts = SymbolicOptions {
-            threads: 0,
-            ..SymbolicOptions::default()
-        };
-        assert!(opts.normalized().threads >= 1);
-        let out = verify_ltl(&s, &p, &opts).unwrap();
-        let base = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
-        assert_eq!(out.verdict, base.verdict);
-    }
-
-    #[test]
     fn cancelled_token_yields_cancelled_verdict() {
         let s = toggle();
         let p = parse_property("G (P | Q)").unwrap();
@@ -1131,123 +819,28 @@ mod tests {
         };
         let out = verify_ltl(&s, &p, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Cancelled, "{out:?}");
-        // A run with prefetch workers must respect the deadline too.
-        let opts2 = SymbolicOptions {
-            cancel: CancelToken::with_deadline(Duration::ZERO),
-            threads: 2,
-            force_overlap: true,
-            ..SymbolicOptions::default()
-        };
-        let out2 = verify_ltl(&s, &p, &opts2).unwrap();
-        assert_eq!(out2.verdict, Verdict::Cancelled, "{out2:?}");
     }
 
     #[test]
-    fn cancel_fired_mid_search_with_workers_in_flight() {
-        // A token cancelled while prefetch workers are live must yield
-        // Cancelled (taking precedence over LimitReached), join every
-        // scoped worker (the call returning at all proves no wedge), and
-        // leave nothing behind that poisons a later clean run.
+    fn fired_token_outranks_an_exhausted_budget() {
+        // A pre-fired token with a one-node budget: both stop conditions
+        // hold, and cancellation must win in both entry points.
         let s = login();
         let p = parse_property("G (!CP | logged_in)").unwrap();
-        let cancel = CancelToken::new();
-        let canceller = {
-            let token = cancel.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(2));
-                token.cancel();
-            })
-        };
-        let opts = SymbolicOptions {
-            threads: 4,
-            force_overlap: true,
-            node_limit: 1, // also exhausted: Cancelled must still win
-            cancel,
-            ..SymbolicOptions::default()
-        };
-        let out = verify_ltl(&s, &p, &opts).unwrap();
-        canceller.join().unwrap();
-        assert!(
-            matches!(out.verdict, Verdict::Cancelled | Verdict::LimitReached),
-            "{out:?}"
-        );
-        // If the token fired before the budget tripped, Cancelled won; we
-        // can't control the interleaving, but a *pre-fired* token always
-        // outranks the (already exhausted) budget:
         let fired = CancelToken::new();
         fired.cancel();
-        let opts2 = SymbolicOptions {
-            threads: 4,
-            force_overlap: true,
+        let opts = SymbolicOptions {
             node_limit: 1,
             cancel: fired,
             ..SymbolicOptions::default()
         };
-        let out2 = verify_ltl(&s, &p, &opts2).unwrap();
-        assert_eq!(out2.verdict, Verdict::Cancelled, "{out2:?}");
-        // The memo is per-run state: a clean run afterwards is unaffected
-        // by the cancelled ones.
+        let out = verify_ltl(&s, &p, &opts).unwrap();
+        assert_eq!(out.verdict, Verdict::Cancelled, "{out:?}");
+        let ef = is_error_free(&s, &opts).unwrap();
+        assert_eq!(ef.verdict, Verdict::Cancelled, "{ef:?}");
+        // The memo is per-run state: a clean run afterwards is unaffected.
         let clean = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
         assert!(clean.holds(), "{clean:?}");
-        let clean_par = verify_ltl(
-            &s,
-            &p,
-            &SymbolicOptions {
-                threads: 4,
-                force_overlap: true,
-                ..SymbolicOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(clean_par.verdict, clean.verdict);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_outcome() {
-        // The determinism contract: verdict AND lasso bytes (Verdict's
-        // equality covers the rendered stem/cycle) identical for every
-        // thread count, with the concurrent machinery genuinely running
-        // (force_overlap) regardless of the host's core count. The
-        // structural stats are part of the contract too.
-        let s = login();
-        for prop in ["G (!CP | logged_in)", "G !CP", "F CP"] {
-            let p = parse_property(prop).unwrap();
-            let base = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
-            for threads in [2usize, 8] {
-                let opts = SymbolicOptions {
-                    threads,
-                    force_overlap: true,
-                    ..SymbolicOptions::default()
-                };
-                let out = verify_ltl(&s, &p, &opts).unwrap();
-                assert_eq!(
-                    out.verdict, base.verdict,
-                    "threads={threads} diverged on {prop}"
-                );
-                assert_eq!(
-                    out.stats.nodes_interned, base.stats.nodes_interned,
-                    "threads={threads} interned differently on {prop}"
-                );
-                assert_eq!(
-                    out.stats.successors_memoized, base.stats.successors_memoized,
-                    "threads={threads} memoized differently on {prop}"
-                );
-                assert_eq!(out.stats.dedup_hits, base.stats.dedup_hits);
-                assert_eq!(out.stats.memo_hits, base.stats.memo_hits);
-                assert_eq!(out.stats.peak_frontier, base.stats.peak_frontier);
-            }
-        }
-        let base = is_error_free(&s, &SymbolicOptions::default()).unwrap();
-        for threads in [2usize, 8] {
-            let opts = SymbolicOptions {
-                threads,
-                force_overlap: true,
-                ..SymbolicOptions::default()
-            };
-            let out = is_error_free(&s, &opts).unwrap();
-            assert_eq!(out.verdict, base.verdict, "threads={threads} diverged");
-            assert_eq!(out.stats.nodes_interned, base.stats.nodes_interned);
-        }
     }
 
     #[test]
@@ -1313,25 +906,6 @@ mod tests {
         assert!(out.stats.nodes_interned > 0);
         assert!(out.stats.successors_memoized > 0);
         assert!(out.stats.peak_frontier > 0);
-        // A sequential run reports no prefetch activity.
-        assert_eq!(out.stats.prefetched, 0);
-        assert_eq!(out.stats.prefetch_hits, 0);
-        // A run with prefetch workers: same verdict, same structural
-        // counters; only the overlap counters may differ (and they are
-        // scheduling-dependent, so no exact value is pinned).
-        let opts = SymbolicOptions {
-            threads: 2,
-            force_overlap: true,
-            ..SymbolicOptions::default()
-        };
-        let warm = verify_ltl(&s, &p, &opts).unwrap();
-        assert_eq!(warm.verdict, out.verdict);
-        assert_eq!(warm.stats.nodes_interned, out.stats.nodes_interned);
-        assert_eq!(
-            warm.stats.successors_memoized,
-            out.stats.successors_memoized
-        );
-        assert_eq!(warm.stats.memo_hits, out.stats.memo_hits);
     }
 
     /// The login service plus dead logic nothing observes: an unreachable

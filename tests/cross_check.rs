@@ -122,80 +122,6 @@ fn picker_properties_agree() {
     }
 }
 
-/// A random small input-bounded service: a ring of `2..=5` pages driven
-/// by the propositional input `go`, plus random back-edges (guarded by
-/// `!go` so they never overlap a ring edge) and random state-prop
-/// insertions. Returns the service and its page count.
-fn random_service(rng: &mut wave_rng::SplitMix64) -> (Service, usize) {
-    use wave_rng::Rng;
-    let n_pages = 2 + rng.gen_range(0..4) as usize;
-    let n_props = rng.gen_range(0..3) as usize;
-    let mut b = ServiceBuilder::new("P0");
-    b.input_relation("go", 0);
-    for k in 0..n_props {
-        b.state_prop(&format!("s{k}"));
-    }
-    for i in 0..n_pages {
-        b.page(&format!("P{i}"));
-        b.input_prop_on_page("go");
-        b.target(&format!("P{}", (i + 1) % n_pages), "go");
-        if rng.gen_bool(0.5) {
-            let j = rng.gen_range(0..n_pages as u64) as usize;
-            b.target(&format!("P{j}"), "!go");
-        }
-        for k in 0..n_props {
-            if rng.gen_bool(0.5) {
-                b.insert_rule(&format!("s{k}"), &[], "go");
-            }
-        }
-    }
-    (b.build().unwrap(), n_pages)
-}
-
-/// The interned/parallel engine must return the same `VerifyOutcome`
-/// verdict — byte-identical, counterexample lassos included — as the
-/// sequential path, for 1, 2 and 8 worker threads, on random services.
-#[test]
-fn parallel_engine_matches_sequential_on_random_services() {
-    for seed in 0..8u64 {
-        let mut rng = wave_rng::SplitMix64::seed_from_u64(0xC0FFEE + seed);
-        let (s, n_pages) = random_service(&mut rng);
-        let everywhere = (0..n_pages)
-            .map(|i| format!("P{i}"))
-            .collect::<Vec<_>>()
-            .join(" | ");
-        for prop in [format!("G ({everywhere})"), "F P1".into(), "G !P1".into()] {
-            let p = parse_property(&prop).unwrap();
-            let seq = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
-            for threads in [1usize, 2, 8] {
-                let opts = SymbolicOptions {
-                    threads,
-                    ..SymbolicOptions::default()
-                };
-                let out = verify_ltl(&s, &p, &opts).unwrap();
-                assert_eq!(
-                    format!("{:?}", out.verdict),
-                    format!("{:?}", seq.verdict),
-                    "seed={seed} prop=`{prop}` threads={threads} diverged"
-                );
-            }
-        }
-        let seq = wave::verifier::symbolic::is_error_free(&s, &SymbolicOptions::default()).unwrap();
-        for threads in [1usize, 2, 8] {
-            let opts = SymbolicOptions {
-                threads,
-                ..SymbolicOptions::default()
-            };
-            let out = wave::verifier::symbolic::is_error_free(&s, &opts).unwrap();
-            assert_eq!(
-                format!("{:?}", out.verdict),
-                format!("{:?}", seq.verdict),
-                "seed={seed} error-freeness threads={threads} diverged"
-            );
-        }
-    }
-}
-
 #[test]
 fn symbolic_counterexamples_are_db_realizable() {
     // When the symbolic verifier reports a violation whose cause is a

@@ -41,34 +41,6 @@ fn checkout_core_payment_safety_over_all_databases() {
 }
 
 #[test]
-fn checkout_core_verdicts_are_thread_count_independent() {
-    // The parallel frontier phase must not change anything observable:
-    // byte-identical verdicts — counterexample lassos included — on the
-    // demo properties for every thread count.
-    let core = site::checkout_core();
-    for prop in [
-        "forall p . G (!ship(p) | paid)",
-        "G (!COP | paid)",
-        "G !COP",
-    ] {
-        let p = parse_property(prop).unwrap();
-        let base = verify_ltl(&core, &p, &SymbolicOptions::default()).unwrap();
-        for threads in [2usize, 8] {
-            let opts = SymbolicOptions {
-                threads,
-                ..SymbolicOptions::default()
-            };
-            let out = verify_ltl(&core, &p, &opts).unwrap();
-            assert_eq!(
-                format!("{:?}", out.verdict),
-                format!("{:?}", base.verdict),
-                "threads={threads} diverged on `{prop}`"
-            );
-        }
-    }
-}
-
-#[test]
 fn property_one_on_the_concrete_site() {
     // Example 3.2's property (1) with P = PP (product page), Q = CC: every
     // run visiting the product page eventually sees the cart. False — the
