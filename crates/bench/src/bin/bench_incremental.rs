@@ -237,22 +237,18 @@ fn main() {
         });
     }
     let best = best.expect("at least one session");
-    let warm_min = best
-        .warm_us
-        .iter()
-        .map(|&(_, us)| us)
-        .min()
-        .expect("edits ran");
     let mut sorted: Vec<u64> = best.warm_us.iter().map(|&(_, us)| us).collect();
     sorted.sort_unstable();
-    let warm_median = sorted[sorted.len() / 2];
+    let (warm_min, warm_median) = (sorted[0], sorted[sorted.len() / 2]);
+    let warm_max = sorted[sorted.len() - 1];
     let ratio = warm_min as f64 / best.cold_us.max(1) as f64;
     eprintln!(
-        "cold {} us; warm edits min {} us / median {} us ({:.1}% of cold); \
+        "cold {} us; warm edits min {} us / median {} us / max {} us ({:.1}% of cold); \
          in-cone control {} us",
         best.cold_us,
         warm_min,
         warm_median,
+        warm_max,
         ratio * 100.0,
         best.control_us
     );
@@ -294,6 +290,7 @@ fn main() {
         ),
         ("warm_us_min".into(), Json::Int(warm_min as i64)),
         ("warm_us_median".into(), Json::Int(warm_median as i64)),
+        ("warm_us_max".into(), Json::Int(warm_max as i64)),
         (
             "warm_over_cold_pct".into(),
             Json::Int((ratio * 100.0).round() as i64),

@@ -43,4 +43,4 @@ pub mod passes;
 pub mod report;
 
 pub use diag::{codes, Diagnostic, Label, Severity};
-pub use report::{lint, Report};
+pub use report::{admission_errors, lint, Report, ADMISSION_VERSION};

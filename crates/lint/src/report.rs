@@ -5,6 +5,16 @@
 //! deterministic order — `(page, rule, span start, code)` — so both the
 //! human renderer and the JSON renderer are byte-stable for a given
 //! input.
+//!
+//! The passes fall into two groups. The **error-capable** passes
+//! (`bounded`, `vocab`, `property`) are the only ones that can emit an
+//! error-severity diagnostic, so they alone decide admission;
+//! [`admission_errors`] runs just them. The **advisory** passes
+//! (`graph`, `dead`, `classes`) emit only warnings and notes: they
+//! explain a service but never refuse it. The two groups emit disjoint
+//! codes, and both the dedup key and the sort key include the code, so
+//! running the groups one after the other orders a report exactly as
+//! interleaving them would.
 
 use std::collections::BTreeSet;
 
@@ -27,6 +37,14 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
 }
 
+/// Version of the admission rules: the error-severity diagnostics and
+/// the class rules of [`wave_core::classify`]. Bump it when any
+/// error-severity rule or any class rule changes. Serving caches only
+/// admitted content and replays it without re-checking, so its cache
+/// key carries this version: an entry admitted under other rules is
+/// then unreachable and never replayed.
+pub const ADMISSION_VERSION: u32 = 1;
+
 /// Runs every pass. `sources` (from
 /// [`wave_core::builder::ServiceBuilder::build_with_sources`]) enables
 /// spans; without it diagnostics carry page/rule context only.
@@ -38,14 +56,10 @@ pub fn lint(
     let cls = classify(service);
     let class = cls.class();
     let mut out = Vec::new();
-    passes::bounded::run(service, sources, &mut out);
-    passes::vocab::run(service, sources, &mut out);
+    error_capable(service, sources, property, class, &mut out);
     passes::graph::run(service, sources, &mut out);
     passes::dead::run(service, sources, property, &mut out);
     passes::classes::run(service, &cls, &mut out);
-    if let Some(p) = property {
-        passes::property::run(service, p, class, &mut out);
-    }
     // Dedup: the bounded checker stops at the first undeclared relation it
     // meets, which the vocabulary pass reports too.
     let mut seen = BTreeSet::new();
@@ -54,6 +68,36 @@ pub fn lint(
     Report {
         class,
         diagnostics: out,
+    }
+}
+
+/// True when an error-capable pass finds an error-severity diagnostic
+/// for a service of `class`: exactly when [`lint`]'s report would
+/// [have errors](Report::has_errors), without running the advisory
+/// passes.
+pub fn admission_errors(
+    service: &Service,
+    sources: Option<&ServiceSources>,
+    property: Option<&Property>,
+    class: ServiceClass,
+) -> bool {
+    let mut out = Vec::new();
+    error_capable(service, sources, property, class, &mut out);
+    out.iter().any(|d| d.severity == Severity::Error)
+}
+
+/// The passes that can emit an error-severity diagnostic.
+fn error_capable(
+    service: &Service,
+    sources: Option<&ServiceSources>,
+    property: Option<&Property>,
+    class: ServiceClass,
+    out: &mut Vec<Diagnostic>,
+) {
+    passes::bounded::run(service, sources, out);
+    passes::vocab::run(service, sources, out);
+    if let Some(p) = property {
+        passes::property::run(service, p, class, out);
     }
 }
 

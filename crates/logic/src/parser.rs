@@ -34,6 +34,13 @@
 //! later pass over the tree (NNF/PNF, LTL→Büchi, fingerprinting, lint),
 //! so the cap is what turns a hostile `((((…` into a typed
 //! [`ParseError`] instead of a stack overflow that aborts the process.
+//!
+//! Growth is capped too. `a <-> b` desugars to `(a -> b) & (b -> a)`,
+//! copying both sides, so a chain of `n` links has an AST exponential in
+//! `n`. Before each such copy the parser adds the nodes it would copy to
+//! a per-formula total and refuses past [`MAX_FORMULA_NODES`] with a
+//! typed [`ParseError`], so a few hundred bytes of `<->` cannot exhaust
+//! time or memory: every AST stays within the token count plus the cap.
 
 use std::fmt;
 
@@ -80,6 +87,12 @@ impl std::error::Error for ParseError {}
 /// counts as a level). The same cap as the serving protocol's JSON
 /// depth; written properties nest under a dozen levels.
 pub const MAX_NESTING: usize = 128;
+
+/// Most AST nodes (as counted by [`TFormula::size`]) the desugaring
+/// copies of one formula may add, summed over the formula (see the
+/// module docs). Far above any written property: the corpora's largest
+/// have a few dozen nodes.
+pub const MAX_FORMULA_NODES: usize = 65_536;
 
 const RESERVED_OPS: &[&str] = &["X", "F", "G", "U", "B", "E", "A"];
 const KEYWORDS: &[&str] = &["true", "false", "exists", "forall"];
@@ -247,6 +260,9 @@ struct Parser<'a> {
     spans: SpanTable,
     /// Levels currently open, bounded by [`MAX_NESTING`].
     depth: usize,
+    /// Nodes copied by desugaring so far, bounded by
+    /// [`MAX_FORMULA_NODES`].
+    copied: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -258,6 +274,7 @@ impl<'a> Parser<'a> {
             scope: free.iter().map(|s| s.to_string()).collect(),
             spans: SpanTable::new(),
             depth: 0,
+            copied: 0,
         })
     }
 
@@ -328,8 +345,17 @@ impl<'a> Parser<'a> {
     fn parse_iff(&mut self) -> Result<TFormula, ParseError> {
         let mut lhs = self.parse_implies()?;
         while self.peek() == Some(&Tok::DArrow) {
+            let at = self.here();
             self.bump();
             let rhs = self.parse_implies()?;
+            self.copied += lhs.size() + rhs.size();
+            if self.copied > MAX_FORMULA_NODES {
+                return Err(ParseError::at(
+                    self.lx.src,
+                    at,
+                    format!("`<->` desugaring copies more than {MAX_FORMULA_NODES} formula nodes"),
+                ));
+            }
             lhs = tand(vec![timplies(lhs.clone(), rhs.clone()), timplies(rhs, lhs)]);
         }
         Ok(lhs)
@@ -962,6 +988,28 @@ mod tests {
         // The cap is per open level, not per formula.
         let wide = vec![nest("(", ")", MAX_NESTING); 4].join(" & ");
         assert!(parse_property(&wide).is_ok());
+    }
+
+    #[test]
+    fn iff_chains_are_capped_by_size() {
+        let chain = |links: usize| vec!["paid"; links + 1].join(" <-> ");
+        // Short chains desugar as before.
+        let f = parse_property(&chain(3)).expect("a short chain parses");
+        assert!(f.body.size() <= MAX_FORMULA_NODES);
+        // Each link doubles the AST: 40 links would be ~2^43 nodes.
+        let start = std::time::Instant::now();
+        let e = parse_property(&chain(40)).unwrap_err();
+        assert!(e.msg.contains("formula nodes"), "{e}");
+        assert!(
+            start.elapsed() < std::time::Duration::from_millis(500),
+            "refusal took {:?}",
+            start.elapsed()
+        );
+        // The budget is per formula: many chains just under the cap
+        // each still add up past it.
+        let many = vec![format!("({})", chain(10)); 64].join(" & ");
+        assert!(parse_property(&chain(10)).is_ok());
+        assert!(parse_property(&many).is_err());
     }
 
     #[test]

@@ -43,14 +43,23 @@ const MAX_ATTEMPTS: u64 = 64;
 /// [`MAX_ATTEMPTS`] consecutive candidates are inadmissible, which
 /// would be a generator bug worth crashing on.
 pub fn generate(seed: u64) -> Case {
-    for attempt in 0..MAX_ATTEMPTS {
+    candidates(seed)
+        .find(admissible)
+        .map(|spec| Case { seed, spec })
+        .unwrap_or_else(|| {
+            panic!(
+                "seed {seed}: no admissible candidate in {MAX_ATTEMPTS} attempts — generator bug"
+            )
+        })
+}
+
+/// Every salted candidate [`generate`] may try for `seed`, in order and
+/// *before* the admission filter, so inadmissible ones are included.
+pub fn candidates(seed: u64) -> impl Iterator<Item = ServiceSpec> {
+    (0..MAX_ATTEMPTS).map(move |attempt| {
         let mut rng = SplitMix64::seed_from_u64(seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let spec = candidate(&mut rng);
-        if admissible(&spec) {
-            return Case { seed, spec };
-        }
-    }
-    panic!("seed {seed}: no admissible candidate in {MAX_ATTEMPTS} attempts — generator bug");
+        candidate(&mut rng)
+    })
 }
 
 /// True when the spec builds and passes the admission gate together

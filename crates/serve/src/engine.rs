@@ -1,22 +1,31 @@
-//! The service engine: fingerprint → cache → schedule → verify.
+//! The service engine: fingerprint → cache → admit → schedule → verify.
 //!
 //! One [`Engine`] owns the result cache and the worker pool. A submit:
 //!
 //! 1. resolves the named service and parses the property;
 //! 2. refuses immediately when the engine is [draining](Engine::begin_drain)
 //!    (`Draining`) or past its soft load budget (`Overloaded`, carrying
-//!    a retry-after hint) — graceful degradation beats collapse;
-//! 3. runs the `wave-lint` admission gate
-//!    ([`wave_verifier::precheck`]): a service outside the decidable
-//!    classes — or a property that fails static analysis — is refused
-//!    here, with the full lint report, before it can consume cache
-//!    space or a worker's verification budget;
-//! 4. computes the request's canonical [`Fingerprint`] over the
-//!    *resolved* `Service` structure, the mode, the property and the
-//!    normalized node budget — `threads` (ignored) and `deadline_us` are excluded
-//!    because they can never change the verdict;
-//! 5. on a cache hit, replays the stored outcome bytes verbatim
-//!    (`cache_hit: true`, byte-identical to the run that stored them);
+//!    a retry-after hint) — graceful degradation beats collapse — and
+//!    arms the request's deadline;
+//! 3. computes the request's canonical [`Fingerprint`] over the
+//!    *resolved* `Service` structure, the mode, the property, the
+//!    normalized node budget and the admission rules' version
+//!    ([`wave_verifier::precheck::ADMISSION_VERSION`]) — `threads`
+//!    (ignored) and `deadline_us` are excluded because they can never
+//!    change the verdict;
+//! 4. on a cache hit, replays the stored outcome bytes verbatim
+//!    (`cache_hit: true`, byte-identical to the run that stored them)
+//!    without re-running admission: only admitted content is ever
+//!    cached, and the version in the fingerprint keeps content admitted
+//!    under other rules unreachable. A request whose deadline already
+//!    expired skips the probe;
+//! 5. runs the `wave-lint` admission gate
+//!    ([`wave_verifier::precheck::admit`]) — only the passes that can
+//!    refuse: a service outside the decidable classes, or a property
+//!    that fails static analysis, is refused here with the full lint
+//!    report, before it can consume cache space or a worker's
+//!    verification budget; an expired deadline is then answered dead
+//!    on arrival;
 //! 6. on a miss, **coalesces** with any identical in-flight
 //!    fingerprint: the first submission (the *leader*) runs the
 //!    verification, every concurrent duplicate (a *follower*) blocks on
@@ -69,7 +78,7 @@ use wave_core::service::Service;
 use wave_logic::fingerprint::{Canonical, Fingerprint, Fnv128};
 use wave_logic::parser::parse_property;
 use wave_logic::temporal::Property;
-use wave_verifier::precheck::precheck;
+use wave_verifier::precheck::{admit, ADMISSION_VERSION};
 use wave_verifier::symbolic::{
     is_error_free, verify_ltl, CancelToken, SearchStats, SymbolicOptions, Verdict, VerifyOutcome,
 };
@@ -384,10 +393,13 @@ pub fn request_fingerprint(
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v3: outcome stats gained the `incremental` flag (v2 added
-    // sliced_rules/sliced_relations), so bytes persisted under earlier
-    // schemes no longer decode — never replay them.
-    h.write_str("wave-serve/fp/v3");
+    // v4: cache hits replay without re-running admission, so the domain
+    // carries the admission rules' version — content admitted under
+    // other rules is never replayed. (v3 added the `incremental` stats
+    // flag, v2 sliced_rules/sliced_relations: bytes persisted under
+    // earlier schemes no longer decode.)
+    h.write_str("wave-serve/fp/v4");
+    h.write_u64(u64::from(ADMISSION_VERSION));
     service.canon(&mut h);
     match mode {
         Mode::Ltl => {
@@ -694,27 +706,55 @@ impl Engine {
             CancelToken::never()
         };
 
-        // Admission control: static analysis gates the request *before*
-        // the fingerprint, the cache and the worker pool — an
-        // inadmissible submit never consumes verification budget.
-        let pre = precheck(&service, Some(&sources), property.as_ref());
-        let class = pre.class;
-        if let Some(reason) = pre.refusal() {
-            self.counters
-                .admission_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::NotAdmissible {
-                class,
-                reason,
-                report_json: pre.report.to_json(),
-            });
+        // Cache probe: the content fingerprint is computed once and
+        // reused for quarantine, coalescing, the leader re-check and the
+        // insert. Only admitted content is ever cached, and the
+        // fingerprint carries the admission rules' version, so a hit
+        // replays without running admission again; its class is the one
+        // admission derived. An already-expired request skips the probe
+        // and is refused or answered dead on arrival below, exactly as
+        // if it had missed.
+        let fp = request_fingerprint(&service, property.as_ref(), req.mode, req.node_limit);
+        if !cancel.is_cancelled() {
+            if let Some(bytes) = self.cache.lock().expect("cache poisoned").get(fp) {
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(SubmitResult {
+                    fingerprint: fp,
+                    cache_hit: true,
+                    incremental: false,
+                    class: wave_core::classify::classify(&service).class(),
+                    shard: self.shard,
+                    coalesced_waiters: 0,
+                    outcome_bytes: bytes,
+                });
+            }
         }
 
+        // Admission control: static analysis gates every miss *before*
+        // the worker pool — an inadmissible submit never consumes cache
+        // space or verification budget. Only the lint passes that can
+        // refuse run here; a refusal carries the full lint report.
+        let class = match admit(&service, Some(&sources), property.as_ref()) {
+            Ok(class) => class,
+            Err(pre) => {
+                self.counters
+                    .admission_rejections
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(SubmitError::NotAdmissible {
+                    class: pre.class,
+                    reason: pre
+                        .refusal()
+                        .expect("admit refuses only inadmissible requests"),
+                    report_json: pre.report.to_json(),
+                });
+            }
+        };
+
         // Dead on arrival: a deadline that expired before we even got
-        // here can never produce an answer — refuse to spend a
-        // fingerprint, a cache probe, a queue slot or a worker wakeup on
-        // it. The synthetic outcome is never cached (it carries the
-        // all-zero fingerprint, which no real request content produces).
+        // here can never produce an answer — refuse to spend a cache
+        // probe, a queue slot or a worker wakeup on it. The synthetic
+        // outcome is never cached (it carries the all-zero fingerprint,
+        // which no real request content produces).
         if cancel.is_cancelled() {
             self.counters
                 .dead_on_arrival
@@ -731,20 +771,6 @@ impl Engine {
                 shard: self.shard,
                 coalesced_waiters: 0,
                 outcome_bytes: outcome_to_json(&outcome).encode().into_bytes(),
-            });
-        }
-
-        let fp = request_fingerprint(&service, property.as_ref(), req.mode, req.node_limit);
-        if let Some(bytes) = self.cache.lock().expect("cache poisoned").get(fp) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(SubmitResult {
-                fingerprint: fp,
-                cache_hit: true,
-                incremental: false,
-                class,
-                shard: self.shard,
-                coalesced_waiters: 0,
-                outcome_bytes: bytes,
             });
         }
 
@@ -825,7 +851,7 @@ impl Engine {
         // under the submission's own *full* fingerprint, so later
         // identical submissions are plain cache hits and fleet
         // replication ships it like any cold result. Probed after
-        // admission: precheck already refused anything the verifier
+        // admission: `admit` already refused anything the verifier
         // would.
         let tier = property.as_ref().map(|p| {
             let sliced = wave_core::slice::slice(&service, p);
@@ -1275,6 +1301,106 @@ mod tests {
         let r2 = e.submit(&r).unwrap();
         assert!(!r2.cache_hit);
         assert_ne!(r2.fingerprint, Fingerprint(0));
+    }
+
+    #[test]
+    fn expired_resubmit_of_a_cached_request_is_dead_on_arrival() {
+        let e = Engine::new(EngineOptions::default());
+        let mut r = req("full_site", "forall p q . G (!ship(p, q) | paid)");
+        r.node_limit = 2_000;
+        let cold = e.submit(&r).unwrap();
+        assert!(!cold.cache_hit);
+        // The answer is cached, but an expired request never reaches the
+        // probe: it is admitted and answered dead on arrival as before.
+        r.deadline_us = 1; // expires while fingerprinting full_site
+        let doa = e.submit(&r).unwrap();
+        assert!(!doa.cache_hit);
+        assert_eq!(doa.fingerprint, Fingerprint(0));
+        assert_eq!(decode(&doa.outcome_bytes).verdict, Verdict::Cancelled);
+        let c = &e.counters;
+        assert_eq!(c.dead_on_arrival.load(Ordering::Relaxed), 1);
+        assert_eq!(c.cache_hits.load(Ordering::Relaxed), 0);
+        r.deadline_us = 0;
+        assert!(e.submit(&r).unwrap().cache_hit);
+    }
+
+    #[test]
+    fn hits_report_the_class_of_their_cold_run() {
+        let cases = [
+            ("audit_site", "G (!ADMIN | F HP)"),
+            ("checkout_bench", "forall p . G (!ship(p) | paid)"),
+            ("checkout_core", "forall p . G (!ship(p) | paid)"),
+            ("full_site", "forall p q . G (!ship(p, q) | paid)"),
+            ("login", "G (!CP | logged_in)"),
+            ("navigation", "G (!CP | F HP)"),
+            ("toggle", "G (P | Q)"),
+        ];
+        // Every registry service with an admissible LTL property.
+        for name in registry::names() {
+            assert!(
+                *name == "unrestricted" || cases.iter().any(|(s, _)| s == name),
+                "{name} has no case"
+            );
+        }
+        let e = Engine::new(EngineOptions::default());
+        for (service, property) in cases {
+            let mut r = req(service, property);
+            r.node_limit = 2_000;
+            let cold = e.submit(&r).unwrap();
+            let hit = e.submit(&r).unwrap();
+            assert!(!cold.cache_hit && hit.cache_hit, "{service}");
+            assert_eq!(hit.class, cold.class, "{service}");
+            assert_eq!(hit.outcome_bytes, cold.outcome_bytes, "{service}");
+        }
+    }
+
+    #[test]
+    fn records_keyed_under_the_v3_domain_are_not_replayed() {
+        // The v3 scheme: no admission version in the domain.
+        let v3 = |service: &Service, property: &Property| {
+            let mut h = Fnv128::new();
+            h.write_str("wave-serve/fp/v3");
+            service.canon(&mut h);
+            h.write_u8(0x01);
+            property.canon(&mut h);
+            h.write_len(SymbolicOptions::default().normalized().node_limit);
+            Fingerprint(h.finish())
+        };
+        let r = req("toggle", "G (P | Q)");
+        let service = registry::resolve("toggle").unwrap();
+        let property = parse_property(&r.property).unwrap();
+        let old = v3(&service, &property);
+        let bytes = Engine::new(EngineOptions::default())
+            .submit(&r)
+            .unwrap()
+            .outcome_bytes;
+
+        let dir = std::env::temp_dir().join(format!("wave-engine-v3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("cache.ndjson");
+        std::fs::write(
+            &journal,
+            format!("{}\n", crate::cache::persist_line(old, &bytes)),
+        )
+        .unwrap();
+        let e = Engine::new(EngineOptions {
+            persist: Some(journal),
+            ..EngineOptions::default()
+        });
+        let (_, _, recovered, dropped, _) = e.journal_stats();
+        assert_eq!((recovered, dropped), (1, 0), "the v3 record loads");
+        let reply = e.submit(&r).unwrap();
+        assert!(!reply.cache_hit, "a v3-keyed record must not replay");
+        assert!(!reply.incremental);
+        assert_ne!(reply.fingerprint, old);
+        assert_eq!(e.counters.cache_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            decode(&reply.outcome_bytes).verdict,
+            decode(&bytes).verdict,
+            "the cold run answers the same"
+        );
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

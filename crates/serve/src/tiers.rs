@@ -78,8 +78,10 @@ pub fn verdict_tier_key(sliced: &Service, property: &Property, node_limit: usize
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v1: verdict wire encoding as of wave-serve/fp/v3. Bump when either
-    // the slicer or the verdict codec changes canonical form.
+    // v1: verdict wire encoding as of wave-serve/fp/v3 (fp/v4 only
+    // added the admission version; the tier is probed after admission,
+    // so it needs none). Bump when either the slicer or the verdict
+    // codec changes canonical form.
     h.write_str("wave-inc/verdict/v1");
     sliced.canon(&mut h);
     property.canon(&mut h);

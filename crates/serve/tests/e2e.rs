@@ -7,8 +7,9 @@
 //! * a 1 ms-deadline job on the full demo site returns `Cancelled`
 //!   without hanging or panicking, and the worker pool keeps serving;
 //! * worker-pool size (1/2/8) never changes the response bytes;
-//! * hostile input (deep JSON or formula nesting, a multi-MB line) gets
-//!   a typed refusal and the server keeps serving.
+//! * hostile input (deep JSON or formula nesting, an exploding `<->`
+//!   chain, a multi-MB line) gets a typed refusal and the server keeps
+//!   serving.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -301,6 +302,38 @@ fn deeply_nested_property_is_refused_and_the_server_keeps_serving() {
     let reply = wave_serve::json::Json::parse(&line).expect("the error line is JSON");
     assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
     assert!(line.contains("nested deeper than"), "{line}");
+    let reply = bystander
+        .verify(&request("toggle", "G (P | Q)"))
+        .expect("verify on the bystander session");
+    assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+}
+
+#[test]
+fn exploding_iff_chain_is_refused_and_the_server_keeps_serving() {
+    // `a <-> b` desugars by copying both sides, so each link doubled the
+    // AST: this 184-byte property took seconds to parse, and a few more
+    // links exhausted memory on the connection thread.
+    let addr = spawn_server_addr(EngineOptions::default());
+    let mut bystander = TcpClient::connect(addr).expect("connect");
+    bystander.stats().expect("stats before the hostile line");
+    let property = vec!["paid"; 21].join(" <-> ");
+    assert_eq!(property.len(), 184);
+    let hostile = format!(
+        "{{\"cmd\": \"verify\", \"service\": \"checkout_core\", \"property\": \"{property}\", \
+         \"mode\": \"ltl\", \"node_limit\": 0, \"threads\": 1, \"deadline_us\": 0}}"
+    );
+    let mut client = TcpClient::connect(addr).expect("connect");
+    let start = std::time::Instant::now();
+    let line = client
+        .round_trip(&hostile)
+        .expect("a typed error line, not a dead server");
+    let took = start.elapsed();
+    let reply = wave_serve::json::Json::parse(&line).expect("the error line is JSON");
+    assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert!(line.contains("formula nodes"), "{line}");
+    // Milliseconds in practice; the bound only has to rule out the
+    // exponential parse.
+    assert!(took < Duration::from_secs(1), "refusal took {took:?}");
     let reply = bystander
         .verify(&request("toggle", "G (P | Q)"))
         .expect("verify on the bystander session");

@@ -12,12 +12,19 @@
 //! decidable classes. The full [`Report`] rides along either way, so a
 //! caller refusing a request can forward precise, span-carrying blame
 //! instead of a bare "not input-bounded".
+//!
+//! [`admit`] reaches the same decision more cheaply: it classifies once
+//! and runs only the lint passes that can emit an error, and builds the
+//! full [`Precheck`] only for a refusal. A server admitting a request
+//! needs the class, not the advisory warnings and notes.
 
-use wave_core::classify::ServiceClass;
+use wave_core::classify::{classify, ServiceClass};
 use wave_core::provenance::ServiceSources;
 use wave_core::service::Service;
-use wave_lint::{lint, Report};
+use wave_lint::{admission_errors, lint, Report};
 use wave_logic::temporal::Property;
+
+pub use wave_lint::ADMISSION_VERSION;
 
 /// The outcome of the admission gate: the class the service fell into
 /// and the full lint report backing the decision.
@@ -73,6 +80,23 @@ pub fn precheck(
     }
 }
 
+/// Admits or refuses a request like [`precheck`], without running the
+/// advisory lint passes on an admissible one. Returns the service's
+/// class when the request is admissible; a refusal carries the very
+/// [`Precheck`] that [`precheck`] would return (same reason, same
+/// report).
+pub fn admit(
+    service: &Service,
+    sources: Option<&ServiceSources>,
+    property: Option<&Property>,
+) -> Result<ServiceClass, Precheck> {
+    let class = classify(service).class();
+    if class == ServiceClass::Unrestricted || admission_errors(service, sources, property, class) {
+        return Err(precheck(service, sources, property));
+    }
+    Ok(class)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +112,7 @@ mod tests {
             let pre = precheck(&service, Some(&sources), None);
             assert!(pre.admissible(), "{:?}", pre.report.diagnostics);
             assert!(pre.refusal().is_none());
+            assert_eq!(admit(&service, Some(&sources), None).ok(), Some(pre.class));
         }
     }
 
@@ -122,5 +147,8 @@ mod tests {
         assert_ne!(pre.class, ServiceClass::Unrestricted);
         assert!(!pre.admissible());
         assert!(pre.refusal().unwrap().contains("static analysis"));
+        let refused = admit(&service, Some(&sources), Some(&p)).expect_err("must refuse");
+        assert_eq!(refused.refusal(), pre.refusal());
+        assert_eq!(refused.report.to_json(), pre.report.to_json());
     }
 }
