@@ -9,6 +9,7 @@
 //! also counts dedup hits, the raw measure of how much sharing the
 //! search space exhibits.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -40,11 +41,24 @@ impl<N: Clone + Eq + Hash> Interner<N> {
     /// assigned densely (`0, 1, 2, …`) in first-seen order, so they can
     /// index side tables directly.
     pub fn intern(&mut self, node: N) -> (u32, bool) {
-        if let Some(&id) = self.ids.get(&node) {
+        self.intern_from(node)
+    }
+
+    /// [`Interner::intern`] for a node given in a form `N` borrows as
+    /// and converts from: the value is looked up as it is and converted
+    /// only when it is new. For `Arc<T>` nodes a duplicate `T` is
+    /// dropped as soon as it is found, without an `Arc` allocation.
+    pub fn intern_from<Q>(&mut self, value: Q) -> (u32, bool)
+    where
+        N: Borrow<Q> + From<Q>,
+        Q: Eq + Hash,
+    {
+        if let Some(&id) = self.ids.get(&value) {
             self.dedup_hits += 1;
             return (id, false);
         }
         let id = u32::try_from(self.nodes.len()).expect("more than u32::MAX nodes");
+        let node = N::from(value);
         self.nodes.push(node.clone());
         self.ids.insert(node, id);
         (id, true)
@@ -96,6 +110,20 @@ mod tests {
         assert_eq!(i.get(1), "b");
         assert_eq!(i.lookup(&"c".to_string()), Some(2));
         assert_eq!(i.lookup(&"z".to_string()), None);
+    }
+
+    #[test]
+    fn intern_from_converts_only_new_values() {
+        use std::sync::Arc;
+        let mut i: Interner<Arc<String>> = Interner::new();
+        assert_eq!(i.intern_from("a".to_string()), (0, true));
+        let first = Arc::clone(i.get(0));
+        assert_eq!(i.intern_from("a".to_string()), (0, false));
+        assert_eq!(i.intern(Arc::new("b".to_string())), (1, true));
+        assert_eq!(i.intern_from("b".to_string()), (1, false));
+        assert_eq!(i.dedup_hits(), 2);
+        // The stored node is the first one converted, never replaced.
+        assert!(Arc::ptr_eq(&first, i.get(0)));
     }
 
     #[test]

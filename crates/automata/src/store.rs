@@ -16,6 +16,7 @@
 //! does not depend on how much of the search completed.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -192,22 +193,35 @@ impl AutomatonCache {
     /// same key, the first insert wins (both compute identical automata
     /// — the translation is deterministic).
     pub fn get_or_insert(&self, key: u128, translate: impl FnOnce() -> Buchi) -> Arc<Buchi> {
+        match self.try_get_or_insert(key, || Ok::<_, Infallible>(translate())) {
+            Ok(a) => a,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`AutomatonCache::get_or_insert`] with a translation that may
+    /// refuse: a refusal is returned as it is and caches nothing.
+    pub fn try_get_or_insert<E>(
+        &self,
+        key: u128,
+        translate: impl FnOnce() -> Result<Buchi, E>,
+    ) -> Result<Arc<Buchi>, E> {
         {
             let inner = self.inner.lock().expect("automaton cache poisoned");
             if let Some(a) = inner.map.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(a);
+                return Ok(Arc::clone(a));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(translate());
+        let fresh = Arc::new(translate()?);
         let mut inner = self.inner.lock().expect("automaton cache poisoned");
         if let Some(a) = inner.map.get(&key) {
-            return Arc::clone(a);
+            return Ok(Arc::clone(a));
         }
         inner.map.insert(key, Arc::clone(&fresh));
         inner.pending.push((key, Arc::clone(&fresh)));
-        fresh
+        Ok(fresh)
     }
 
     /// Takes (and clears) the entries inserted by translations since
@@ -333,5 +347,25 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.get_or_insert(7, || unreachable!("seeded key must hit"));
         assert_eq!(cache.hits(), 2);
+    }
+
+    #[test]
+    fn a_refused_translation_caches_nothing() {
+        let cache = AutomatonCache::new();
+        assert_eq!(
+            cache.try_get_or_insert(9, || Err("too large")).unwrap_err(),
+            "too large"
+        );
+        assert!(cache.is_empty());
+        assert!(cache.drain_pending().is_empty());
+        // The next lookup of the key translates afresh.
+        let a = cache
+            .try_get_or_insert(9, || Ok::<_, &str>(sample()))
+            .unwrap();
+        assert_eq!(cache.misses(), 2);
+        assert!(Arc::ptr_eq(
+            &a,
+            &cache.get_or_insert(9, || unreachable!("cached"))
+        ));
     }
 }

@@ -14,8 +14,9 @@
 //! 2. **Slice sweep** — the same request with slicing on vs off. The
 //!    Fig. 2 property's cone excludes every toggle flag, so the sliced
 //!    search collapses back to roughly the checkout core; the entry
-//!    records the node-count and wall-time reduction (the headline
-//!    numbers for the slicer) and asserts the verdict is unchanged.
+//!    records the sliced minimum, median and maximum wall time, the
+//!    node-count and wall-time reduction (the headline numbers for the
+//!    slicer), and asserts the verdict is unchanged.
 //! 3. **Service path** — the same request submitted twice through a
 //!    `wave-serve` engine: the cold run pays for the search, the second
 //!    must be a content-addressed cache hit, so the hit/cold timing
@@ -75,6 +76,8 @@ fn default_out() -> PathBuf {
 
 struct Entry {
     wall_us_min: u64,
+    wall_us_median: u64,
+    wall_us_max: u64,
     verdict: Verdict,
     stats: SearchStats,
     json: Json,
@@ -118,6 +121,8 @@ fn entry(
     );
     Entry {
         wall_us_min,
+        wall_us_median,
+        wall_us_max,
         verdict: out.verdict,
         stats: out.stats,
         json,
@@ -256,6 +261,11 @@ fn main() {
             "on".into(),
             Json::Obj(vec![
                 ("wall_us_min".into(), Json::Int(sliced.wall_us_min as i64)),
+                (
+                    "wall_us_median".into(),
+                    Json::Int(sliced.wall_us_median as i64),
+                ),
+                ("wall_us_max".into(), Json::Int(sliced.wall_us_max as i64)),
                 (
                     "nodes_interned".into(),
                     Json::Int(sliced.stats.nodes_interned as i64),

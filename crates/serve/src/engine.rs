@@ -1451,9 +1451,9 @@ mod tests {
     fn properties_nested_at_the_parser_cap_are_served() {
         // Every pass after the parser (lint, fingerprint, slice, NNF/PNF,
         // LTL→Büchi, search) walks the tree on a worker or connection
-        // stack; at the parser's cap each must still return. (Shapes with
-        // small automata: a chain of untils at the cap is also accepted,
-        // but its automaton has 2^129 states.)
+        // stack; at the parser's cap each must still return. (A chain of
+        // untils at the cap is accepted too; the automaton of its
+        // negation has 2^129 states, so the tableau budget answers it.)
         use wave_logic::parser::MAX_NESTING;
         let n = MAX_NESTING;
         let e = Engine::new(EngineOptions::default());
@@ -1462,6 +1462,7 @@ mod tests {
             format!("{}paid{}", "(".repeat(n), ")".repeat(n)),
             format!("paid{}", " -> paid".repeat(n)),
             format!("{}paid{}", "!(".repeat(n / 2), ")".repeat(n / 2)),
+            format!("{}paid", "paid U ".repeat(n)),
         ] {
             let r = e
                 .submit(&req("checkout_core", &property))

@@ -8,8 +8,8 @@
 //!   without hanging or panicking, and the worker pool keeps serving;
 //! * worker-pool size (1/2/8) never changes the response bytes;
 //! * hostile input (deep JSON or formula nesting, an exploding `<->`
-//!   chain, a multi-MB line) gets a typed refusal and the server keeps
-//!   serving.
+//!   chain, a multi-MB line) gets a typed refusal, an exploding `U`
+//!   chain a typed inconclusive verdict, and the server keeps serving.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -334,6 +334,32 @@ fn exploding_iff_chain_is_refused_and_the_server_keeps_serving() {
     // Milliseconds in practice; the bound only has to rule out the
     // exponential parse.
     assert!(took < Duration::from_secs(1), "refusal took {took:?}");
+    let reply = bystander
+        .verify(&request("toggle", "G (P | Q)"))
+        .expect("verify on the bystander session");
+    assert!(matches!(reply.outcome.verdict, Verdict::Holds { .. }));
+}
+
+#[test]
+fn exploding_until_chain_is_answered_and_the_server_keeps_serving() {
+    // `paid U paid U … U paid` with 128 untils passes the parser's caps,
+    // but the Büchi automaton of its negation has 2^129 states: the
+    // tableau grew on a worker until memory ran out. Its budget now
+    // answers with the inconclusive `LimitReached`.
+    let addr = spawn_server_addr(EngineOptions::default());
+    let mut bystander = TcpClient::connect(addr).expect("connect");
+    bystander.stats().expect("stats before the hostile line");
+    let property = format!("{}paid", "paid U ".repeat(128));
+    let mut client = TcpClient::connect(addr).expect("connect");
+    let start = std::time::Instant::now();
+    let reply = client
+        .verify(&request("checkout_core", &property))
+        .expect("a typed answer, not a dead server");
+    let took = start.elapsed();
+    assert_eq!(reply.outcome.verdict, Verdict::LimitReached);
+    // About 0.1 s in a release build; the bound only has to rule out
+    // the exponential tableau.
+    assert!(took < Duration::from_secs(10), "answer took {took:?}");
     let reply = bystander
         .verify(&request("toggle", "G (P | Q)"))
         .expect("verify on the bystander session");

@@ -20,9 +20,12 @@ pub type CFact = (NameId, Vec<CSym>);
 ///
 /// Page and relation names are interned [`NameId`]s, which follow name
 /// order, so the derived ordering is the ordering over names. The
-/// knowledge store is shared copy-on-write: configurations derived from
-/// one another point at the same [`SymState`] until one of them learns
-/// something new ([`SymConfig::assert`]).
+/// knowledge store and the state, action and `prev` sets are shared
+/// copy-on-write: configurations derived from one another point at the
+/// same allocations until one of them writes (always through
+/// `Arc::make_mut`, or by installing a fresh `Arc`). `Arc<T>` compares,
+/// orders and hashes by its pointee, so sharing is invisible to the
+/// derived `Eq`/`Ord`/`Hash`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SymConfig {
     /// Current page (or the error page).
@@ -30,15 +33,17 @@ pub struct SymConfig {
     /// Input constants provided so far (original symbol ids), packed into
     /// a bitset: the set is monotone and probed on every letter check.
     pub provided: CBits,
-    /// State facts over `C` (canonical).
-    pub state: BTreeSet<CFact>,
-    /// Action facts over `C` (canonical), triggered at the previous step.
-    pub action: BTreeSet<CFact>,
+    /// State facts over `C` (canonical; shared, see above).
+    pub state: Arc<BTreeSet<CFact>>,
+    /// Action facts over `C` (canonical), triggered at the previous step
+    /// (shared, see above).
+    pub action: Arc<BTreeSet<CFact>>,
     /// Current inputs: chosen tuple per input relation (empty vec for a
     /// true propositional input). Absent = no choice / false.
     pub inputs: BTreeMap<NameId, Vec<Sym>>,
-    /// Previous inputs (`prev_I` values), keyed by the input relation.
-    pub prev: BTreeMap<NameId, Vec<Sym>>,
+    /// Previous inputs (`prev_I` values), keyed by the input relation
+    /// (shared, see above).
+    pub prev: Arc<BTreeMap<NameId, Vec<Sym>>>,
     /// Database knowledge accumulated along this path (shared; mutate
     /// only through `Arc::make_mut`).
     pub st: Arc<SymState>,
@@ -55,10 +60,10 @@ impl SymConfig {
         SymConfig {
             page: table.home(),
             provided: CBits::new(),
-            state: BTreeSet::new(),
-            action: BTreeSet::new(),
+            state: Arc::default(),
+            action: Arc::default(),
             inputs: BTreeMap::new(),
-            prev: BTreeMap::new(),
+            prev: Arc::default(),
             st: Arc::new(SymState::new(table.len())),
             n_fresh: 0,
             err_pending: false,
@@ -72,10 +77,10 @@ impl SymConfig {
         SymConfig {
             page: table.error_page(),
             provided: self.provided.clone(),
-            state: BTreeSet::new(),
-            action: BTreeSet::new(),
+            state: Arc::default(),
+            action: Arc::default(),
             inputs: BTreeMap::new(),
-            prev: BTreeMap::new(),
+            prev: Arc::default(),
             st: Arc::clone(&self.st),
             n_fresh: 0,
             err_pending: false,
@@ -105,10 +110,11 @@ impl SymConfig {
         let old = merge.then(|| Arc::clone(&self.st));
         Arc::make_mut(&mut self.st).assert(table, a, val).ok()?;
         if let Some(old) = old {
-            self.state = recanon_facts(&self.state, &old, &self.st)?;
-            self.action = recanon_facts(&self.action, &old, &self.st)?;
+            self.state = Arc::new(recanon_facts(&self.state, &old, &self.st)?);
+            self.action = Arc::new(recanon_facts(&self.action, &old, &self.st)?);
             let st = &self.st;
-            for tuple in self.inputs.values_mut().chain(self.prev.values_mut()) {
+            let prev = Arc::make_mut(&mut self.prev);
+            for tuple in self.inputs.values_mut().chain(prev.values_mut()) {
                 for s in tuple.iter_mut() {
                     *s = st.canon(*s);
                 }
@@ -295,11 +301,11 @@ mod tests {
         let w2 = t.witness_sym("w2").unwrap();
         // state s holds of w1 but not of w2: merging w1=w2 must fail.
         let st = id(&t, "s");
-        c.state.insert((st, vec![w1]));
+        Arc::make_mut(&mut c.state).insert((st, vec![w1]));
         let merged = c.clone().assert(&t, &Assumption::EqC(w1, w2), true);
         assert!(merged.is_none(), "collapse inconsistency must be caught");
         // but if s holds of both, the merge succeeds and dedups.
-        c.state.insert((st, vec![w2]));
+        Arc::make_mut(&mut c.state).insert((st, vec![w2]));
         let merged2 = c.assert(&t, &Assumption::EqC(w1, w2), true).unwrap();
         assert_eq!(merged2.state.len(), 1);
     }
@@ -320,9 +326,88 @@ mod tests {
         let (_, t) = setup();
         let mut c = SymConfig::initial(&t);
         c.inputs.insert(id(&t, "i"), vec![Sym::F(0)]);
-        c.state.insert((id(&t, "s"), vec![0]));
+        Arc::make_mut(&mut c.state).insert((id(&t, "s"), vec![0]));
         let r = c.render(&t);
         assert!(r.contains("page=P"));
         assert!(r.contains("i(✶0)"));
+    }
+
+    /// A configuration whose shared sets all mention both property
+    /// witnesses.
+    fn populated(t: &CTable) -> SymConfig {
+        let (w1, w2) = (t.witness_sym("w1").unwrap(), t.witness_sym("w2").unwrap());
+        let mut c = SymConfig::initial(t);
+        Arc::make_mut(&mut c.state).extend([(id(t, "s"), vec![w1]), (id(t, "s"), vec![w2])]);
+        Arc::make_mut(&mut c.action).insert((id(t, "s"), vec![w1]));
+        Arc::make_mut(&mut c.action).insert((id(t, "s"), vec![w2]));
+        Arc::make_mut(&mut c.prev).insert(id(t, "i"), vec![Sym::C(w1), Sym::C(w2)]);
+        c
+    }
+
+    #[test]
+    fn merge_on_a_clone_leaves_the_original_unchanged() {
+        let (_, t) = setup();
+        let (w1, w2) = (t.witness_sym("w1").unwrap(), t.witness_sym("w2").unwrap());
+        let c = populated(&t);
+        let before = ((*c.state).clone(), (*c.action).clone(), (*c.prev).clone());
+        let merged = c
+            .clone()
+            .assert(&t, &Assumption::EqC(w1, w2), true)
+            .expect("s holds of both witnesses");
+        // The clone re-canonicalized: both facts collapsed onto one rep,
+        // and `prev` names only the rep.
+        assert_eq!(merged.state.len(), 1);
+        assert_eq!(merged.action.len(), 1);
+        let rep = Sym::C(merged.st.find(w2));
+        assert_eq!(merged.prev[&id(&t, "i")], vec![rep, rep]);
+        // The original still holds its own sets, store included.
+        assert_eq!(
+            (&*c.state, &*c.action, &*c.prev),
+            (&before.0, &before.1, &before.2)
+        );
+        assert_ne!(c.st.find(w1), c.st.find(w2));
+    }
+
+    #[test]
+    fn make_mut_on_a_clone_copies_only_the_written_set() {
+        let (_, t) = setup();
+        let c = populated(&t);
+        let mut d = c.clone();
+        assert!(Arc::ptr_eq(&c.state, &d.state));
+        assert!(Arc::ptr_eq(&c.action, &d.action));
+        assert!(Arc::ptr_eq(&c.prev, &d.prev));
+        Arc::make_mut(&mut d.state).clear();
+        Arc::make_mut(&mut d.action).clear();
+        Arc::make_mut(&mut d.prev).clear();
+        assert_eq!(c.state.len(), 2);
+        assert_eq!(c.action.len(), 2);
+        assert_eq!(c.prev.len(), 1);
+        assert!(d.state.is_empty() && d.action.is_empty() && d.prev.is_empty());
+        // Writing one set leaves the others shared.
+        let mut e = c.clone();
+        Arc::make_mut(&mut e.action).clear();
+        assert!(Arc::ptr_eq(&c.state, &e.state));
+        assert!(Arc::ptr_eq(&c.prev, &e.prev));
+        assert!(!Arc::ptr_eq(&c.action, &e.action));
+    }
+
+    #[test]
+    fn equal_content_is_equal_whether_shared_or_not() {
+        use std::hash::{BuildHasher, RandomState};
+        let (_, t) = setup();
+        let a = populated(&t);
+        let shared = a.clone();
+        let separate = populated(&t);
+        assert!(!Arc::ptr_eq(&a.state, &separate.state));
+        let h = RandomState::new();
+        for other in [&shared, &separate] {
+            assert_eq!(&a, other);
+            assert_eq!(a.cmp(other), std::cmp::Ordering::Equal);
+            assert_eq!(h.hash_one(&a), h.hash_one(other));
+        }
+        // And content that differs still differs.
+        let mut b = a.clone();
+        Arc::make_mut(&mut b.action).clear();
+        assert_ne!(a, b);
     }
 }

@@ -10,15 +10,18 @@
 //!
 //! # Architecture: interned ids, memoized successors, one thread
 //!
-//! Product nodes `(SymConfig, büchi state)` are hash-consed to dense ids
-//! by the [`wave_automata::interner::Interner`] inside the nested DFS;
-//! successor generation is memoized per node, so the inner (red) DFS
-//! reuses the lists the outer (blue) DFS derived.
+//! Every configuration the search derives is hash-consed to a dense
+//! config id by a configuration table (a
+//! [`wave_automata::interner::Interner`]); product nodes are
+//! `(config id, büchi state)` pairs, hash-consed again to dense ids
+//! inside the nested DFS. Successor generation is memoized per node, so
+//! the inner (red) DFS reuses the lists the outer (blue) DFS derived.
 //!
 //! On top of that, the engine memoizes the **expensive half** of
 //! successor generation — `successors(cfg)` composed with the FO-component
-//! letter evaluation — once per *configuration* (shared by every Büchi
-//! state paired with it). The memo is filled lazily by the search
+//! letter evaluation — once per *configuration*, as a list of
+//! `(config id, letter)` pairs indexed by config id and shared by every
+//! Büchi state paired with it. The memo is filled lazily by the search
 //! thread: a missing entry is computed on the spot.
 //!
 //! Each search runs on the calling thread alone. Parallelism lives one
@@ -29,13 +32,14 @@
 //!
 //! # Sharing, not copying
 //!
-//! Each successor configuration is allocated once, behind an `Arc`, when
-//! its predecessor is expanded ([`SuccPairs`]). Product nodes, the memo
-//! keys, the interner and the red DFS all hold that one allocation and
-//! clone only the pointer. Inside successor generation the knowledge
-//! store is shared copy-on-write (see [`SymConfig`]).
+//! Each distinct configuration is allocated once, behind an `Arc` in the
+//! configuration table; a re-derived duplicate is dropped as soon as the
+//! table finds it. Product nodes, the memo and the red DFS hold `u32`
+//! ids. Inside successor generation the knowledge store and the state,
+//! action and `prev` sets are shared copy-on-write (see [`SymConfig`]),
+//! so a fork in page entry copies only the current inputs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +52,7 @@ use wave_logic::temporal::{Property, TemporalClass};
 
 pub use wave_automata::cancel::CancelToken;
 use wave_automata::interner::Interner;
-use wave_automata::ltl2buchi::translate;
+use wave_automata::ltl2buchi::{translate_within, TranslateError};
 use wave_automata::props::PropSet;
 pub use wave_automata::search::SearchStats;
 use wave_automata::search::{find_accepting_lasso_stats_with, SearchResult};
@@ -76,8 +80,9 @@ pub struct SymbolicOptions {
     /// callers that still set it compile; parallelism comes from running
     /// several requests at once (the serving engine's worker pool).
     pub threads: usize,
-    /// Cooperative cancellation: polled at every node expansion. A fired
-    /// token surfaces as [`Verdict::Cancelled`] — never a panic. The
+    /// Cooperative cancellation: polled at every node expansion, and on
+    /// the LTL→Büchi tableau's work stack. A fired token surfaces as
+    /// [`Verdict::Cancelled`] — never a panic. The
     /// default ([`CancelToken::never`]) costs nothing to poll.
     pub cancel: CancelToken,
     /// Run the cone-of-influence slicer (`wave_core::slice`) between
@@ -178,8 +183,9 @@ pub enum Verdict {
         /// The repeating cycle.
         cycle: Vec<String>,
     },
-    /// The node budget was exhausted before an answer — the result is
-    /// **inconclusive**, not a proof.
+    /// The node budget, or the LTL→Büchi tableau budget
+    /// ([`wave_automata::ltl2buchi::MAX_TABLEAU_NODES`]), was exhausted
+    /// before an answer — the result is **inconclusive**, not a proof.
     LimitReached,
     /// The run was cancelled (explicit cancel or deadline expiry on
     /// [`SymbolicOptions::cancel`]) before an answer — inconclusive,
@@ -215,13 +221,6 @@ impl VerifyOutcome {
         matches!(self.verdict, Verdict::Violated { .. })
     }
 }
-
-/// Per-configuration memo value: the letter-annotated successor
-/// configurations, shared by every Büchi state.
-type SuccPairs = Vec<(Arc<SymConfig>, PropSet)>;
-
-/// A product node: a shared configuration paired with a Büchi state.
-type Node = (Arc<SymConfig>, usize);
 
 /// The automaton-tier key for a property: a domain-tagged canonical
 /// fingerprint of exactly what the LTL→Büchi translation consumes.
@@ -280,9 +279,30 @@ pub fn verify_ltl(
     // canonical fingerprint can skip the GPVW translation entirely.
     let mut table = FoAbstraction::default();
     let pnf = to_pnf(&property.body, true, &mut table).ok_or(SymbolicError::NotLtl)?;
-    let aut = match &opts.automata {
-        Some(cache) => cache.get_or_insert(buchi_key(property), || translate(&pnf)),
-        None => Arc::new(translate(&pnf)),
+    // The tableau is exponential in the formula, so it runs under the
+    // request's token and a fixed budget: a refusal is inconclusive, like
+    // the search's own stops, and a fired token outranks the budget.
+    let translated = match &opts.automata {
+        Some(cache) => {
+            cache.try_get_or_insert(buchi_key(property), || translate_within(&pnf, &opts.cancel))
+        }
+        None => translate_within(&pnf, &opts.cancel).map(Arc::new),
+    };
+    let aut = match translated {
+        Ok(aut) => aut,
+        Err(e) => {
+            let verdict = if e == TranslateError::Cancelled || opts.cancel.is_cancelled() {
+                Verdict::Cancelled
+            } else {
+                Verdict::LimitReached
+            };
+            let stats = SearchStats {
+                sliced_rules,
+                sliced_relations,
+                ..SearchStats::default()
+            };
+            return Ok(VerifyOutcome { verdict, stats });
+        }
     };
 
     let ctable = CTable::build(service, property);
@@ -320,9 +340,8 @@ pub fn verify_ltl(
 
     // Letter evaluation with branching: every branch yields a (config,
     // letter) pair. A component mentioning an unprovided input constant is
-    // not satisfied (Definition 3.1's satisfaction condition). Pure in
-    // `cfg`, so its results can be cached.
-    let letters = |cfg: SymConfig| -> SuccPairs {
+    // not satisfied (Definition 3.1's satisfaction condition).
+    let letters = |cfg: SymConfig| -> Vec<(SymConfig, PropSet)> {
         let mut acc: Vec<(SymConfig, PropSet)> = vec![(cfg, PropSet::new())];
         for (i, comp) in table.components.iter().enumerate() {
             let mut next = Vec::new();
@@ -346,60 +365,63 @@ pub fn verify_ltl(
             }
             acc = next;
         }
-        acc.into_iter().map(|(c, l)| (Arc::new(c), l)).collect()
+        acc
     };
 
-    // The expensive half of product successor generation, memoized per
-    // configuration: raw successors composed with letter branching.
-    let expand = |cfg: &SymConfig| -> SuccPairs {
-        let mut pairs = Vec::new();
-        for s in successors(service, &ctable, cfg) {
-            pairs.extend(letters(s));
-        }
-        pairs
-    };
+    // The configuration table: every derived configuration (initial, or a
+    // successor after letter branching) is interned here to a dense id in
+    // first-seen order, so each distinct configuration is allocated once
+    // and a duplicate is dropped as soon as it is derived.
+    let mut configs: Interner<Arc<SymConfig>> = Interner::new();
 
-    // Initial product nodes.
-    let mut inits: Vec<Node> = Vec::new();
+    // Initial product nodes `(config id, Büchi state)`.
+    let mut inits: Vec<(u32, usize)> = Vec::new();
     for c0 in initial_configs(service, &ctable) {
         for (c1, letter) in letters(c0) {
+            let (id, _) = configs.intern_from(c1);
             for &q in &aut.initial {
                 if aut.guard[q].accepts(&letter) {
-                    inits.push((Arc::clone(&c1), q));
+                    inits.push((id, q));
                 }
             }
         }
     }
 
-    // Büchi product expansion of a memoized successor list.
-    let product = |pairs: &SuccPairs, q: usize| -> Vec<Node> {
+    // The search, with the expensive half of product successor generation
+    // (raw successors composed with letter branching) memoized per
+    // configuration id and shared by every Büchi state paired with it. The
+    // memo is filled lazily: the nested DFS computes a missing entry on the
+    // spot. The traversal follows successor-list content order, so the
+    // outcome is deterministic.
+    let accepting = |&(_, q): &(u32, usize)| aut.accepting[q];
+    let mut memo: Vec<Option<Vec<(u32, PropSet)>>> = Vec::new();
+    let succ = |&(id, q): &(u32, usize)| -> Vec<(u32, usize)> {
+        let i = id as usize;
+        if memo.len() <= i {
+            memo.resize(i + 1, None);
+        }
+        let pairs = match &memo[i] {
+            Some(pairs) => pairs,
+            None => {
+                let cfg = Arc::clone(configs.get(id));
+                let mut pairs = Vec::new();
+                for s in successors(service, &ctable, &cfg) {
+                    for (c, letter) in letters(s) {
+                        pairs.push((configs.intern_from(c).0, letter));
+                    }
+                }
+                memo[i].insert(pairs)
+            }
+        };
         let mut out = Vec::new();
         for (s2, letter) in pairs {
             for &q2 in &aut.succ[q] {
                 if aut.guard[q2].accepts(letter) {
-                    out.push((Arc::clone(s2), q2));
+                    out.push((*s2, q2));
                 }
             }
         }
         out
-    };
-
-    // The search, with the per-configuration memo filled lazily: the
-    // nested DFS computes a missing entry on the spot. The traversal
-    // follows successor-list content order, so the outcome is
-    // deterministic.
-    let accepting = |&(_, q): &Node| aut.accepting[q];
-    let mut memo: HashMap<Arc<SymConfig>, Arc<SuccPairs>> = HashMap::new();
-    let succ = |(cfg, q): &Node| -> Vec<Node> {
-        let pairs = match memo.get(cfg) {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(expand(cfg));
-                memo.insert(Arc::clone(cfg), p.clone());
-                p
-            }
-        };
-        product(&pairs, *q)
     };
     let (result, mut stats) = find_accepting_lasso_stats_with(
         inits,
@@ -409,11 +431,17 @@ pub fn verify_ltl(
         &opts.cancel,
     );
 
+    let render = |nodes: Vec<(u32, usize)>| -> Vec<String> {
+        nodes
+            .iter()
+            .map(|&(id, _)| configs.get(id).render(&ctable))
+            .collect()
+    };
     let verdict = match result {
         SearchResult::Empty { explored } => Verdict::Holds { explored },
         SearchResult::Lasso { stem, cycle } => Verdict::Violated {
-            stem: stem.iter().map(|(c, _)| c.render(&ctable)).collect(),
-            cycle: cycle.iter().map(|(c, _)| c.render(&ctable)).collect(),
+            stem: render(stem),
+            cycle: render(cycle),
         },
         SearchResult::LimitReached { .. } => Verdict::LimitReached,
         SearchResult::Cancelled => Verdict::Cancelled,
@@ -479,7 +507,7 @@ pub fn is_error_free(
     let mut expanded = 0usize;
     let mut init_limit_hit = false;
     for c in initial_configs(service, &ctable) {
-        let (id, new) = interner.intern(Arc::new(c));
+        let (id, new) = interner.intern_from(c);
         if new {
             parent.push(None);
             frontier.push(id);
@@ -560,7 +588,7 @@ pub fn is_error_free(
         let mut next = Vec::new();
         for pid in frontier {
             for s in successors(service, &ctable, interner.get(pid)) {
-                let (id, new) = interner.intern(Arc::new(s));
+                let (id, new) = interner.intern_from(s);
                 if new {
                     parent.push(Some(pid));
                     // The witness check outranks the budget: an error
@@ -896,6 +924,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(short.verdict, Verdict::LimitReached);
+    }
+
+    #[test]
+    fn an_exploding_tableau_is_inconclusive_not_fatal() {
+        // 128 untils pass the parser's caps, but the automaton of the
+        // negation has 2^129 states: the tableau budget stops it.
+        let s = toggle();
+        let p = parse_property(&format!("{}P", "P U ".repeat(128))).unwrap();
+        let out = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
+        assert_eq!(out.verdict, Verdict::LimitReached, "{out:?}");
+        assert_eq!(out.stats.nodes_interned, 0);
+        // A fired token outranks the budget, with or without the
+        // automaton cache in front of the translation.
+        let cache = Arc::new(wave_automata::store::AutomatonCache::new());
+        for automata in [None, Some(Arc::clone(&cache))] {
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            let opts = SymbolicOptions {
+                cancel,
+                automata,
+                ..SymbolicOptions::default()
+            };
+            assert_eq!(
+                verify_ltl(&s, &p, &opts).unwrap().verdict,
+                Verdict::Cancelled
+            );
+        }
+        assert!(cache.is_empty(), "a refused translation is not cached");
     }
 
     #[test]

@@ -312,6 +312,7 @@ pub fn eval_branching(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wave_core::builder::ServiceBuilder;
     use wave_logic::parser::{parse_fo, parse_property};
 
@@ -367,7 +368,7 @@ mod tests {
             eval(&c, &cfg, &BTreeMap::new(), &parse_fo("flag", &[]).unwrap()),
             Ok(false)
         );
-        cfg.state.insert((t.name_id("flag").unwrap(), vec![]));
+        Arc::make_mut(&mut cfg.state).insert((t.name_id("flag").unwrap(), vec![]));
         assert_eq!(
             eval(&c, &cfg, &BTreeMap::new(), &parse_fo("flag", &[]).unwrap()),
             Ok(true)
@@ -417,7 +418,7 @@ mod tests {
         let (s, t) = setup();
         let mut cfg = SymConfig::initial(&t);
         cfg.n_fresh = 1;
-        cfg.prev.insert(t.name_id("i").unwrap(), vec![Sym::F(0)]);
+        Arc::make_mut(&mut cfg.prev).insert(t.name_id("i").unwrap(), vec![Sym::F(0)]);
         let c = ctx(&s, &t);
         let f = parse_fo("exists x . prev_i(x)", &[]).unwrap();
         assert_eq!(eval(&c, &cfg, &BTreeMap::new(), &f), Ok(true));

@@ -12,7 +12,9 @@
 //!
 //! Branches are passed along by value through every loop: a branch that
 //! does not fork moves on without a copy, and forks share the knowledge
-//! store until one side asserts something new.
+//! store and the state, action and `prev` sets until one side writes
+//! (see [`SymConfig`]), so a fork in page entry copies only the current
+//! inputs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -226,8 +228,8 @@ fn transition_cores(
                 action.insert((rel, canon));
             }
         }
-        c.state = state;
-        c.action = action;
+        c.state = Arc::new(state);
+        c.action = Arc::new(action);
 
         // prev := current inputs of this page (arity > 0 only).
         let mut inputs = std::mem::take(&mut c.inputs);
@@ -242,11 +244,10 @@ fn transition_cores(
                 }
             }
         }
-        c.prev = prev;
 
         // Renumber live fresh symbols (those surviving in prev).
         let mut rename: BTreeMap<u16, u16> = BTreeMap::new();
-        for t in c.prev.values() {
+        for t in prev.values() {
             for s in t {
                 if let Sym::F(i) = s {
                     let n = rename.len() as u16;
@@ -257,13 +258,14 @@ fn transition_cores(
         if c.st.has_local() {
             Arc::make_mut(&mut c.st).retire_fresh(&|i| rename.get(&i).copied());
         }
-        for t in c.prev.values_mut() {
+        for t in prev.values_mut() {
             for s in t.iter_mut() {
                 if let Sym::F(i) = s {
                     *s = Sym::F(rename[i]);
                 }
             }
         }
+        c.prev = Arc::new(prev);
         c.n_fresh = rename.len() as u16;
         out.push(c);
     }
@@ -622,5 +624,32 @@ mod tests {
         assert!(inits
             .iter()
             .any(|c| matches!(c.inputs.get(&pick).map(|t| t[0]), Some(Sym::F(0)))));
+    }
+
+    #[test]
+    fn input_choice_siblings_share_their_fact_sets() {
+        let mut b = ServiceBuilder::new("P");
+        b.database_relation("item", 1)
+            .input_relation("pick", 1)
+            .state_prop("seen")
+            .page("P")
+            .input_rule("pick", &["y"], "item(y)");
+        let s = b.build().unwrap();
+        let p = parse_property("forall w . G true").unwrap();
+        let t = CTable::build(&s, &p);
+        let (pick, seen) = (id(&t, "pick"), id(&t, "seen"));
+        let mut cfg = SymConfig::initial(&t);
+        Arc::make_mut(&mut cfg.state).insert((seen, vec![]));
+        Arc::make_mut(&mut cfg.action).insert((seen, vec![]));
+        Arc::make_mut(&mut cfg.prev).insert(pick, vec![Sym::F(0)]);
+        cfg.n_fresh = 1;
+        let siblings = enter_page(&s, &t, cfg.clone(), id(&t, "P"));
+        // No pick, the witness, the live fresh symbol and a new one.
+        assert!(siblings.len() >= 4, "{}", siblings.len());
+        for c in &siblings {
+            assert!(Arc::ptr_eq(&c.state, &cfg.state));
+            assert!(Arc::ptr_eq(&c.action, &cfg.action));
+            assert!(Arc::ptr_eq(&c.prev, &cfg.prev));
+        }
     }
 }
