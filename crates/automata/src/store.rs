@@ -14,13 +14,22 @@
 //! Caching a translation is sound even for runs that are later
 //! cancelled or hit their node budget: unlike a verdict, the automaton
 //! does not depend on how much of the search completed.
+//!
+//! A translation the tableau budget refuses
+//! ([`TranslateError::TooLarge`]) is remembered too, in memory only:
+//! the refusal is as deterministic as an automaton, so the same formula
+//! sent against another service or another node budget is refused
+//! without re-running the tableau. It is not journaled, because it
+//! depends on the build's [`MAX_TABLEAU_NODES`](crate::ltl2buchi::MAX_TABLEAU_NODES)
+//! as well as the formula. A [`TranslateError::Cancelled`] says nothing
+//! about the formula and is never remembered.
 
-use std::collections::HashMap;
-use std::convert::Infallible;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::buchi::{Buchi, Guard};
+use crate::ltl2buchi::TranslateError;
 use crate::props::{PropId, PropSet};
 
 impl Buchi {
@@ -151,6 +160,8 @@ struct Inner {
     /// host's persistence hook journals exactly these (seeded entries
     /// came *from* the journal and must not be re-journaled forever).
     pending: Vec<(u128, Arc<Buchi>)>,
+    /// Keys whose translation the tableau budget refused.
+    too_large: HashSet<u128>,
 }
 
 /// A process-wide store of LTL→Büchi translations keyed by a canonical
@@ -191,30 +202,45 @@ impl AutomatonCache {
     /// The automaton for `key`, translating with `translate` on a miss.
     /// The translation runs outside the lock; when two threads race the
     /// same key, the first insert wins (both compute identical automata
-    /// — the translation is deterministic).
+    /// — the translation is deterministic). Panics if a budgeted
+    /// translation of `key` was refused before: such a formula is too
+    /// large for `translate` as well.
     pub fn get_or_insert(&self, key: u128, translate: impl FnOnce() -> Buchi) -> Arc<Buchi> {
-        match self.try_get_or_insert(key, || Ok::<_, Infallible>(translate())) {
-            Ok(a) => a,
-            Err(never) => match never {},
-        }
+        self.try_get_or_insert(key, || Ok(translate()))
+            .unwrap_or_else(|e| panic!("automaton {key:#x}: {e}"))
     }
 
     /// [`AutomatonCache::get_or_insert`] with a translation that may
-    /// refuse: a refusal is returned as it is and caches nothing.
-    pub fn try_get_or_insert<E>(
+    /// refuse. A `TooLarge` refusal is remembered, so a later lookup of
+    /// `key` is refused without calling `translate`; a `Cancelled` one
+    /// caches nothing.
+    pub fn try_get_or_insert(
         &self,
         key: u128,
-        translate: impl FnOnce() -> Result<Buchi, E>,
-    ) -> Result<Arc<Buchi>, E> {
+        translate: impl FnOnce() -> Result<Buchi, TranslateError>,
+    ) -> Result<Arc<Buchi>, TranslateError> {
         {
             let inner = self.inner.lock().expect("automaton cache poisoned");
             if let Some(a) = inner.map.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(a));
             }
+            if inner.too_large.contains(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Err(TranslateError::TooLarge);
+            }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(translate()?);
+        let fresh = match translate() {
+            Ok(a) => Arc::new(a),
+            Err(e) => {
+                if e == TranslateError::TooLarge {
+                    let mut inner = self.inner.lock().expect("automaton cache poisoned");
+                    inner.too_large.insert(key);
+                }
+                return Err(e);
+            }
+        };
         let mut inner = self.inner.lock().expect("automaton cache poisoned");
         if let Some(a) = inner.map.get(&key) {
             return Ok(Arc::clone(a));
@@ -231,7 +257,7 @@ impl AutomatonCache {
         std::mem::take(&mut inner.pending)
     }
 
-    /// Number of cached automata.
+    /// Number of cached automata (remembered refusals not included).
     pub fn len(&self) -> usize {
         self.inner
             .lock()
@@ -350,22 +376,46 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_translation_caches_nothing() {
+    fn a_too_large_refusal_is_remembered_and_a_cancellation_is_not() {
         let cache = AutomatonCache::new();
+        let mut calls = 0u32;
+        let mut refuse = |e: TranslateError| {
+            calls += 1;
+            Err(e)
+        };
+        let too_large = Err(TranslateError::TooLarge);
         assert_eq!(
-            cache.try_get_or_insert(9, || Err("too large")).unwrap_err(),
-            "too large"
+            cache
+                .try_get_or_insert(9, || refuse(TranslateError::TooLarge))
+                .map(|_| ()),
+            too_large
         );
+        // The second lookup is refused from memory: no tableau rerun.
+        assert_eq!(
+            cache
+                .try_get_or_insert(9, || unreachable!("refusal must be remembered"))
+                .map(|_| ()),
+            too_large
+        );
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        // Refusals are neither automata nor journal material.
         assert!(cache.is_empty());
         assert!(cache.drain_pending().is_empty());
-        // The next lookup of the key translates afresh.
-        let a = cache
-            .try_get_or_insert(9, || Ok::<_, &str>(sample()))
-            .unwrap();
-        assert_eq!(cache.misses(), 2);
+
+        // A cancellation says nothing about the formula: the next
+        // lookup translates again, and its automaton is cached.
+        assert_eq!(
+            cache
+                .try_get_or_insert(5, || refuse(TranslateError::Cancelled))
+                .map(|_| ()),
+            Err(TranslateError::Cancelled)
+        );
+        assert_eq!(calls, 2);
+        let a = cache.try_get_or_insert(5, || Ok(sample())).unwrap();
+        assert_eq!(cache.misses(), 3);
         assert!(Arc::ptr_eq(
             &a,
-            &cache.get_or_insert(9, || unreachable!("cached"))
+            &cache.get_or_insert(5, || unreachable!("cached"))
         ));
     }
 }

@@ -425,16 +425,6 @@ fn wire_sweep(plan: Plan, seed: u64, report: &mut CampaignReport) {
                         report.typed_failures += 1;
                     }
                 }
-                // The sweep never sets check_owner, so a wrong_shard
-                // refusal here is a protocol violation, not weather.
-                Err(e @ ClientError::WrongShard { .. }) => {
-                    report.violations.push(format!(
-                        "plan {} round {round}: unchecked request refused: {e} for {} / {}",
-                        plan.name(),
-                        req.service,
-                        req.property
-                    ));
-                }
             }
         }
     }

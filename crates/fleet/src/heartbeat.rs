@@ -5,19 +5,14 @@
 //! seeded-jittered interval (jitter keeps probes from synchronizing
 //! into a thundering herd against loaded nodes). A failed probe is a
 //! *missed beat*, not a death: the member moves alive → suspect and
-//! stays on the ring. Only after `k_missed` consecutive misses does the
-//! prober escalate — and even then it runs **one more synchronous
-//! confirm probe that bypasses the fault plane** before calling
-//! [`Router::mark_dead`]. The confirm is what makes the plane safe
-//! under chaos: a node whose probes are being dropped or corrupted by
-//! [`Hook::FleetHealth`] faults is slow-to-observe, not dead, and the
+//! stays in the placement. Only after `k_missed` consecutive misses
+//! does the prober escalate — and even then it runs **one more
+//! synchronous confirm probe that bypasses the fault plane** before
+//! calling [`Router::mark_dead`]. The confirm is what makes the plane
+//! safe under chaos: a node whose probes are being dropped or corrupted
+//! by [`Hook::FleetHealth`] faults is slow-to-observe, not dead, and the
 //! direct confirm sees it answer. A member is only ever executed when
 //! a real connection to a real port fails twice over.
-//!
-//! The probe doubles as the view re-sync path: a healthy reply carries
-//! the node's installed view epoch, and a node behind the router's
-//! epoch (it missed a push while restarting) gets the current view
-//! re-pushed immediately.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,8 +60,6 @@ pub struct HeartbeatCounters {
     pub confirms_cleared: AtomicU64,
     /// Confirm probes that failed: members actually marked dead.
     pub kills: AtomicU64,
-    /// Stale-epoch replies that triggered a view re-push.
-    pub view_resyncs: AtomicU64,
 }
 
 /// A running heartbeat prober. Dropping stops it.
@@ -173,50 +166,40 @@ fn probe_member(
     // Corrupt fault means this beat is lost in flight, a Delay means a
     // slow network leg.
     let beat = match faults.decide(Hook::FleetHealth, 0) {
-        Fault::Drop | Fault::Corrupt { .. } => None,
+        Fault::Drop | Fault::Corrupt { .. } => false,
         Fault::Delay(d) => {
             std::thread::sleep(d);
             probe(member, opts.probe_timeout)
         }
         _ => probe(member, opts.probe_timeout),
     };
-    match beat {
-        Some(reply_epoch) => {
-            missed.remove(&member.id);
-            router.clear_suspect(member.id);
-            // Probe doubles as view re-sync: a node behind the epoch
-            // (restarted, missed a push) gets the current view.
-            if reply_epoch < router.epoch() {
-                counters.view_resyncs.fetch_add(1, Ordering::Relaxed);
-                router.push_view_to(member.id);
-            }
-        }
-        None => {
-            counters.missed.fetch_add(1, Ordering::Relaxed);
-            let n = missed.entry(member.id).or_insert(0);
-            *n += 1;
-            router.set_suspect(member.id, *n);
-            if *n >= opts.k_missed {
-                // Confirm-before-kill: one synchronous probe that
-                // deliberately bypasses the fault plane. A slow node
-                // under load is never executed for a dropped packet.
-                if probe(member, opts.probe_timeout).is_some() {
-                    counters.confirms_cleared.fetch_add(1, Ordering::Relaxed);
-                    missed.remove(&member.id);
-                    router.clear_suspect(member.id);
-                } else {
-                    counters.kills.fetch_add(1, Ordering::Relaxed);
-                    missed.remove(&member.id);
-                    router.mark_dead(member.id);
-                }
+    if beat {
+        missed.remove(&member.id);
+        router.clear_suspect(member.id);
+    } else {
+        counters.missed.fetch_add(1, Ordering::Relaxed);
+        let n = missed.entry(member.id).or_insert(0);
+        *n += 1;
+        router.set_suspect(member.id, *n);
+        if *n >= opts.k_missed {
+            // Confirm-before-kill: one synchronous probe that
+            // deliberately bypasses the fault plane. A slow node
+            // under load is never executed for a dropped packet.
+            if probe(member, opts.probe_timeout) {
+                counters.confirms_cleared.fetch_add(1, Ordering::Relaxed);
+                missed.remove(&member.id);
+                router.clear_suspect(member.id);
+            } else {
+                counters.kills.fetch_add(1, Ordering::Relaxed);
+                missed.remove(&member.id);
+                router.mark_dead(member.id);
             }
         }
     }
 }
 
-/// One direct probe: fresh connection, `health` round trip. Returns the
-/// node's installed view epoch on success.
-fn probe(member: &NodeHandle, timeout: Duration) -> Option<u64> {
-    let mut c = TcpClient::connect_timeout(member.addr, timeout).ok()?;
-    c.health().ok().map(|h| h.epoch)
+/// One direct probe: fresh connection, `health` round trip. True when
+/// the node answered with a well-formed health reply.
+fn probe(member: &NodeHandle, timeout: Duration) -> bool {
+    TcpClient::connect_timeout(member.addr, timeout).is_ok_and(|mut c| c.health().is_ok())
 }

@@ -2,22 +2,29 @@
 //!
 //! One `wave-serve` node verifies one request at a time per worker and
 //! caches what it proved. This crate scales that out: a front-end
-//! [`router::Router`] consistent-hashes the **128-bit canonical content
-//! fingerprint** of every request onto N nodes (a [`ring::Ring`] of
-//! virtual points), so identical content always lands on the same node
-//! and the engine's request coalescing becomes fleet-wide — a
-//! thundering herd on one hot property costs exactly one verification
-//! no matter how many front-end clients stampede.
+//! [`router::Router`] places the **128-bit canonical content
+//! fingerprint** of every request on one of N nodes by rendezvous
+//! hashing ([`ring::Ring`]: the member with the highest
+//! `mix128(fp ^ seed(id))` owns it), so identical content always lands
+//! on the same node and the engine's request coalescing becomes
+//! fleet-wide — a thundering herd on one hot property costs exactly one
+//! verification no matter how many front-end clients stampede.
+//!
+//! The router is the only code that places or forwards requests. Nodes
+//! hold no placement and verify whatever they are sent, so a client
+//! may still send to any node directly and get a correct verdict — it
+//! only loses the cache concentration the router's placement buys.
 //!
 //! Completed results replicate by **shipping the journal**: the
 //! [`shipper::Shipper`] tails each node's CRC-framed NDJSON cache
-//! journal and re-plays new complete lines into every other node
-//! through a validating `replicate` wire command. Because the journal
-//! *is* the replication log, there is no second serialization format to
-//! drift, and a node kill is survivable: the router re-ranges the ring
-//! (epoch bump) and replays the dead node's shipped journal into its
-//! successors, so the fleet keeps every verdict the dead node ever
-//! persisted.
+//! journal and ships new complete lines to its successors (the next
+//! members in id order, wrapping round), which re-journal and ship them
+//! onward, through a validating `replicate` wire command. Because the
+//! journal *is* the replication log, there is no second serialization
+//! format to drift, and a node kill is survivable: the router drops
+//! the node from the placement (epoch bump) and replays its journal
+//! into the survivors, so the fleet keeps every verdict the dead node
+//! ever persisted.
 //!
 //! The invariant hierarchy mirrors the rest of the workspace: a fleet
 //! may lose *cached* work (a dropped ship, a torn journal tail) — it
@@ -36,12 +43,8 @@
 //! interval, suspects after K missed beats, and confirms with one
 //! direct probe before any kill. Restarted nodes re-enter through
 //! [`router::Router::join`] — peers' journals replay in *before* the
-//! ring re-ranges, so a re-join never loses a verdict and never
-//! re-verifies already-paid content. The epoch-tagged
-//! [`wave_serve::view::MemberView`] the router pushes to every node is
-//! the full routing input, which is what lets
-//! [`wave_serve::client::RoutedClient`] compute placement locally and
-//! survive the router's death entirely.
+//! placement takes the node back, so a re-join never loses a verdict
+//! and never re-verifies already-paid content.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

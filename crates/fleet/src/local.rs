@@ -111,7 +111,6 @@ impl LocalFleet {
             engines.push(engine);
         }
         let router = Arc::new(Router::new(handles, opts.fleet_faults.clone()));
-        router.push_view();
         let shipper = Shipper::start(
             Arc::clone(&router),
             opts.fleet_faults.clone(),
@@ -168,8 +167,8 @@ impl LocalFleet {
     /// Re-joins a previously retired/dead node: a fresh engine restarts
     /// from the **same on-disk journal** (everything it paid for before
     /// the death is warm again), then [`Router::join`] replays the
-    /// peers' journals into it before re-ranging the ring — so the
-    /// re-join never costs a verdict and never re-verifies paid
+    /// peers' journals into it before re-adding it to the placement —
+    /// so the re-join never costs a verdict and never re-verifies paid
     /// content.
     pub fn rejoin(&mut self, id: u32) -> io::Result<()> {
         let journal = journal_path(&self.dir, id);
@@ -235,7 +234,6 @@ impl ProcessFleet {
             children.insert(id, child);
         }
         let router = Arc::new(Router::new(handles, opts.fleet_faults.clone()));
-        router.push_view();
         let shipper = Shipper::start(
             Arc::clone(&router),
             opts.fleet_faults.clone(),
@@ -266,8 +264,8 @@ impl ProcessFleet {
         &self.dir
     }
 
-    /// `SIGKILL`s node `id` and tells the router it is dead (ring
-    /// re-range + journal replay). Returns false if the node was
+    /// `SIGKILL`s node `id` and tells the router it is dead (removal
+    /// from the placement + journal replay). Returns false if the node was
     /// already gone.
     pub fn kill(&mut self, id: u32) -> bool {
         let Some(mut child) = self.children.remove(&id) else {
@@ -298,8 +296,8 @@ impl ProcessFleet {
 
     /// Restarts a killed node from its **on-disk journal** and re-joins
     /// it through [`Router::join`]: peers' journals replay in first,
-    /// then the ring re-ranges, then the view pushes — the node comes
-    /// back warm and the fleet never re-verifies paid content.
+    /// then the placement takes it back — the node comes back warm and
+    /// the fleet never re-verifies paid content.
     pub fn restart(&mut self, id: u32) -> io::Result<()> {
         let journal = journal_path(&self.dir, id);
         let (child, addr) = spawn_node(&self.bin, id, &journal, self.workers)?;

@@ -13,11 +13,9 @@
 //! `node` runs one fleet member (a full wave-serve engine + listener
 //! with a shard id and a journal). `up` spawns N `node` children from
 //! this same binary, then serves the wave-serve wire protocol on a
-//! front-end port, routing each `verify` by content fingerprint,
-//! answering `stats` with the aggregated fleet view and `members` with
-//! the epoch-tagged membership view (which is how self-routing clients
-//! bootstrap). `flap` runs the kill/restart chaos campaign under
-//! heartbeat-probe faults.
+//! front-end port, routing each `verify` by content fingerprint and
+//! answering `stats` with the aggregated fleet view. `flap` runs the
+//! kill/restart chaos campaign under heartbeat-probe faults.
 
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -155,14 +153,8 @@ fn serve_front_conn(stream: TcpStream, router: &Router) {
                 Err(e) => error_reply(&e),
             },
             Ok(Request::Stats) => format!("{{\"ok\":true,\"stats\":{}}}", router.fleet_stats()),
-            // Self-routing clients bootstrap placement here (or from
-            // any node): the view is the full routing input.
-            Ok(Request::Members) => format!(
-                "{{\"ok\":true,\"view\":{}}}",
-                router.member_view().to_json().encode()
-            ),
             Ok(_) => {
-                "{\"ok\":false,\"error\":\"front end supports verify, stats and members\",\"kind\":\"bad_request\"}"
+                "{\"ok\":false,\"error\":\"front end supports verify and stats\",\"kind\":\"bad_request\"}"
                     .to_string()
             }
             Err(e) => format!(
@@ -188,13 +180,6 @@ fn error_reply(e: &ClientError) -> String {
         ClientError::Io(_) | ClientError::Timeout => ("unavailable", e.to_string()),
         ClientError::Server(m) => ("error", m.clone()),
         ClientError::Protocol(m) => ("unavailable", m.clone()),
-        // The router never sets check_owner, so a wrong_shard refusal
-        // reaching it means a node is ahead of us; surface it as-is.
-        ClientError::WrongShard { epoch, owner } => {
-            return format!(
-                "{{\"ok\":false,\"error\":\"wrong shard\",\"kind\":\"wrong_shard\",\"epoch\":{epoch},\"owner\":{owner}}}"
-            )
-        }
     };
     format!(
         "{{\"ok\":false,\"error\":{},\"kind\":\"{kind}\"}}",

@@ -1,11 +1,16 @@
 //! The front-end router: fingerprint → owning node → forward.
 //!
-//! Routing is **content-addressed**: the router computes the same
-//! canonical fingerprint the engine computes (same resolution, same
-//! normalization), so every identical request lands on the same node —
+//! The router is the only code that places requests. Routing is
+//! **content-addressed**: the router computes the same canonical
+//! fingerprint the engine computes (same resolution, same
+//! normalization) and hands it to the rendezvous placement in
+//! [`crate::ring`], so every identical request lands on the same node —
 //! which is what turns per-node request coalescing into *fleet-wide*
 //! coalescing: one hot property means one owner, one leader, one
-//! verification, however many clients stampede.
+//! verification, however many clients stampede. Nodes do not know the
+//! placement and verify whatever they are sent, so a client that
+//! bypasses the router still gets a correct verdict, only without the
+//! cache concentration.
 //!
 //! # Failure model
 //!
@@ -15,32 +20,31 @@
 //! counts against the node. A forward that fails at the transport
 //! level on a fresh connection (dead socket, timeout, EOF mid-frame)
 //! is retried once more; if the node still does not answer it is
-//! **marked dead**: removed from the ring
-//! (epoch bump), its journal replayed to the survivors (every completed
-//! result it had persisted is re-installed through the validating
-//! replication path), and the request fails over to the new owner.
+//! **marked dead**: removed from the placement (epoch bump), its
+//! journal replayed to the survivors (every completed result it had
+//! persisted is re-installed through the validating replication path),
+//! and the request fails over to the new owner.
 //! Typed refusals (admission, bad property, overload with retry-after)
 //! are relayed to the caller — they are answers, not failures.
 //!
 //! The [`Hook::FleetForward`] fault point lets `wave-chaos` drop or
 //! delay forwards (a soft partition): a dropped forward fails over for
-//! that request only, without declaring the owner dead.
+//! that request only, without declaring the owner dead. Rendezvous
+//! placement sends it to the member that would own it if the owner
+//! died, so a soft partition and a death fail over to the same node.
 //!
 //! # Membership (wave-mesh)
 //!
-//! The router is the **authority** for the epoch-tagged
-//! [`MemberView`]: every membership change (death, retire, re-join)
-//! bumps the ring epoch and pushes the new view to the surviving nodes
-//! (`install_view`), so nodes can answer `members` and police
-//! `check_owner` requests, and routed clients can bootstrap placement
-//! from any member. The heartbeat plane ([`crate::heartbeat`]) feeds
-//! suspicion in ([`Router::set_suspect`]) and executes deaths through
-//! [`Router::mark_dead`]; a restarted or new node comes back through
-//! [`Router::join`], which replays the existing members' journals into
-//! the joiner **before** re-ranging the ring — the inverse of the death
-//! path, and the order is what guarantees a re-join never costs a
-//! verdict: by the time any arc moves onto the joiner, every outcome
-//! the fleet persisted for that arc is already installed there.
+//! The router is the membership **authority**: every change (death,
+//! retire, re-join) bumps the placement epoch. The heartbeat plane
+//! ([`crate::heartbeat`]) feeds suspicion in ([`Router::set_suspect`])
+//! and executes deaths through [`Router::mark_dead`]; a restarted or
+//! new node comes back through [`Router::join`], which replays the
+//! existing members' journals into the joiner **before** adding it to
+//! the placement — the inverse of the death path, and the order is what
+//! guarantees a re-join never costs a verdict: by the time any
+//! fingerprint moves onto the joiner, every outcome the fleet persisted
+//! for it is already installed there.
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -52,17 +56,16 @@ use std::time::Duration;
 use wave_serve::client::{ClientError, RetryPolicy, SessionPool, TcpClient, VerifyReply};
 use wave_serve::codec::VerifyRequest;
 use wave_serve::faults::{Fault, Faults, Hook};
-use wave_serve::view::{MemberInfo, MemberView};
 
 use crate::ring::Ring;
 use crate::shipper::tail_lines;
 
-pub use wave_serve::view::routing_fingerprint;
+pub use wave_serve::engine::routing_fingerprint;
 
 /// One fleet member as the router sees it.
 #[derive(Clone, Debug)]
 pub struct NodeHandle {
-    /// Shard id (also the engine's `shard` and the ring id).
+    /// Shard id (also the engine's `shard` and the placement id).
     pub id: u32,
     /// Where the node's wave-serve protocol listens.
     pub addr: SocketAddr,
@@ -85,8 +88,6 @@ pub struct RouterCounters {
     pub replayed_records: AtomicU64,
     /// Nodes that joined (or re-joined) a running fleet.
     pub rejoins: AtomicU64,
-    /// Membership views pushed to nodes (`install_view` calls made).
-    pub view_pushes: AtomicU64,
 }
 
 struct RouterState {
@@ -107,8 +108,8 @@ pub struct Router {
     read_timeout: Duration,
     retry: RetryPolicy,
     /// Idle sessions for forwards. Membership changes purge the
-    /// address they touch; probes, view pushes, replays and stats
-    /// always open a fresh connection.
+    /// address they touch; probes, replays and stats always open a
+    /// fresh connection.
     sessions: SessionPool,
     /// Monotonic counters for fleet stats.
     pub counters: RouterCounters,
@@ -155,64 +156,14 @@ impl Router {
         &self.sessions
     }
 
-    /// The current ring epoch (bumped by every membership change).
+    /// The current placement epoch (bumped by every membership change).
     pub fn epoch(&self) -> u64 {
         self.state.lock().expect("router poisoned").ring.epoch()
     }
 
-    /// The epoch-tagged membership view: the full routing input. A
-    /// client (or node) holding this view computes the same placement
-    /// the router does — the ring is a pure function of it.
-    pub fn member_view(&self) -> MemberView {
-        let st = self.state.lock().expect("router poisoned");
-        let mut members: Vec<MemberInfo> = st
-            .nodes
-            .values()
-            .map(|n| MemberInfo {
-                id: n.id,
-                addr: n.addr,
-            })
-            .collect();
-        members.sort_by_key(|m| m.id);
-        MemberView {
-            epoch: st.ring.epoch(),
-            members,
-        }
-    }
-
-    /// Pushes the current view to every member. Best-effort: a node
-    /// that misses a push serves `wrong_shard` refusals from a stale
-    /// epoch until the next heartbeat notices and re-pushes.
-    pub fn push_view(&self) {
-        let view = self.member_view();
-        for handle in self.nodes() {
-            self.push_view_handle(&handle, &view);
-        }
-    }
-
-    /// Pushes the current view to one member (heartbeat re-sync path).
-    pub fn push_view_to(&self, id: u32) {
-        let handle = {
-            let st = self.state.lock().expect("router poisoned");
-            st.nodes.get(&id).cloned()
-        };
-        if let Some(handle) = handle {
-            let view = self.member_view();
-            self.push_view_handle(&handle, &view);
-        }
-    }
-
-    fn push_view_handle(&self, handle: &NodeHandle, view: &MemberView) {
-        if let Ok(mut c) = TcpClient::connect_timeout(handle.addr, self.read_timeout) {
-            if c.install_view(view).is_ok() {
-                self.counters.view_pushes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Records `missed` consecutive missed heartbeats for a member.
-    /// Suspicion is bookkeeping only: the member stays on the ring and
-    /// keeps serving until [`mark_dead`](Router::mark_dead).
+    /// Suspicion is bookkeeping only: the member stays in the placement
+    /// and keeps serving until [`mark_dead`](Router::mark_dead).
     pub fn set_suspect(&self, id: u32, missed: u32) {
         let mut st = self.state.lock().expect("router poisoned");
         if st.nodes.contains_key(&id) {
@@ -231,10 +182,10 @@ impl Router {
         self.state.lock().expect("router poisoned").suspects.len()
     }
 
-    /// The ring successors a node ships its journal to, as live
-    /// handles. Deterministic in the member set, so replication
-    /// converges: the R=1 successor relation is a single cycle over the
-    /// members, and receivers re-journal what they install.
+    /// The successors a node ships its journal to, as live handles.
+    /// Deterministic in the member set, so replication converges: the
+    /// R=1 successor relation is a single cycle over the members in id
+    /// order, and receivers re-journal what they install.
     pub fn successors_of(&self, id: u32, r: usize) -> Vec<NodeHandle> {
         let st = self.state.lock().expect("router poisoned");
         st.ring
@@ -253,17 +204,16 @@ impl Router {
     ///    recording the cursor reached per peer. The joiner restarts
     ///    from its own on-disk journal too, so nothing it paid for
     ///    before the crash is lost either.
-    /// 2. **Then re-range.** The ring adds the node (epoch bump); arcs
-    ///    move onto the joiner only now, when every persisted verdict
-    ///    for those arcs is already installed there.
+    /// 2. **Then re-place.** The placement adds the node (epoch bump);
+    ///    fingerprints move onto the joiner only now, when every
+    ///    persisted verdict for them is already installed there.
     /// 3. **Delta replay.** Lines the peers appended during step 1 are
     ///    shipped from the recorded cursors — the race window between
-    ///    replay and re-range is closed by a second, idempotent pass.
-    /// 4. **Push the view** so every member (joiner included) can
-    ///    police `check_owner` requests at the new epoch.
+    ///    replay and re-placement is closed by a second, idempotent
+    ///    pass.
     ///
     /// Idempotent for an already-present member (refreshes the handle's
-    /// address and re-pushes the view without an epoch bump).
+    /// address without an epoch bump).
     pub fn join(&self, handle: NodeHandle) {
         let (already, peers) = {
             let st = self.state.lock().expect("router poisoned");
@@ -288,7 +238,7 @@ impl Router {
                 cursors.push((path.clone(), cursor));
             }
         }
-        // Step 2: re-range. The epoch bumps exactly once per join.
+        // Step 2: re-place. The epoch bumps exactly once per join.
         {
             let mut st = self.state.lock().expect("router poisoned");
             if already {
@@ -309,8 +259,6 @@ impl Router {
         if !already {
             self.counters.rejoins.fetch_add(1, Ordering::Relaxed);
         }
-        // Step 4: everyone learns the new epoch.
-        self.push_view();
     }
 
     /// Ships journal lines to one node through the validating
@@ -338,10 +286,7 @@ impl Router {
     /// The node a request would be forwarded to right now.
     pub fn owner_of(&self, req: &VerifyRequest) -> Option<u32> {
         let st = self.state.lock().expect("router poisoned");
-        if st.ring.is_empty() {
-            return None;
-        }
-        Some(st.ring.owner(routing_fingerprint(req)))
+        st.ring.owner_excluding(routing_fingerprint(req), &[])
     }
 
     /// Routes one request to completion: forward to the owner, fail
@@ -349,7 +294,7 @@ impl Router {
     pub fn submit(&self, req: &VerifyRequest) -> Result<VerifyReply, ClientError> {
         let fp = routing_fingerprint(req);
         // Nodes this *request* must skip (dropped forwards), on top of
-        // ring membership (which deaths shrink as we go).
+        // membership (which deaths shrink as we go).
         let mut skip: Vec<u32> = Vec::new();
         loop {
             let target = {
@@ -385,7 +330,7 @@ impl Router {
                 Err(ClientError::Io(_)) | Err(ClientError::Timeout) => {
                     self.mark_dead(target.id);
                     self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    skip.retain(|id| *id != target.id); // now off the ring
+                    skip.retain(|id| *id != target.id); // no longer a member
                 }
                 // Everything else is an answer (refusal, protocol
                 // violation worth surfacing), not a dead node.
@@ -395,8 +340,8 @@ impl Router {
     }
 
     /// Gracefully retires a live node: its journal is replayed to the
-    /// peers **before** the ring re-ranges, so a request re-routed to
-    /// the successor always finds the cached outcome — administrative
+    /// peers **before** the placement drops it, so a request re-routed
+    /// to the new owner always finds the cached outcome — administrative
     /// decommission never costs a re-verification (the wave-load
     /// retire-mid drill pins `cold_runs ≤ distinct + cancelled +
     /// failovers` across it). [`mark_dead`](Router::mark_dead) replays
@@ -404,7 +349,7 @@ impl Router {
     /// already gone, but a window where re-routed requests re-verify
     /// cold if the node was alive. The second replay inside
     /// `mark_dead` then catches any line the node appended between the
-    /// pre-ship and the re-range (receivers skip byte-identical
+    /// pre-ship and the removal (receivers skip byte-identical
     /// records, so replaying twice is idempotent).
     pub fn retire(&self, id: u32) {
         let (handle, peers) = {
@@ -420,8 +365,8 @@ impl Router {
         self.mark_dead(id);
     }
 
-    /// Declares a node dead: off the ring, journal replayed to the
-    /// survivors. Idempotent; also the entry point for kill drills.
+    /// Declares a node dead: out of the placement, journal replayed to
+    /// the survivors. Idempotent; also the entry point for kill drills.
     pub fn mark_dead(&self, id: u32) {
         let (handle, survivors) = {
             let mut st = self.state.lock().expect("router poisoned");
@@ -441,10 +386,6 @@ impl Router {
             .nodes_marked_dead
             .fetch_add(1, Ordering::Relaxed);
         self.replay_journal(&handle, &survivors);
-        // Survivors (and routed clients bootstrapping off them) must
-        // learn the new epoch, or checked requests for the dead node's
-        // arcs would bounce off stale `wrong_shard` refusals.
-        self.push_view();
     }
 
     /// Replays a dead node's persisted journal to every survivor via
@@ -526,10 +467,6 @@ impl Router {
                     (
                         "rejoins".into(),
                         Json::Int(c.rejoins.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "view_pushes".into(),
-                        Json::Int(c.view_pushes.load(Ordering::Relaxed) as i64),
                     ),
                     ("members_alive".into(), Json::Int(alive as i64)),
                     ("members_suspect".into(), Json::Int(suspect as i64)),

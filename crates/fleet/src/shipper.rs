@@ -3,24 +3,26 @@
 //! Every node persists its completed verifications as CRC-framed NDJSON
 //! journal lines (see `wave_serve::cache`). The shipper tails each
 //! node's journal by byte offset and ships new **complete** lines to
-//! the node's [`SHIP_FANOUT`] **ring successors** over the wire
-//! protocol's `replicate` command, in batches that each fit the
-//! server's request-line cap (a journal tail can be many times that
-//! long). Receivers re-validate every frame
-//! (CRC, canonical re-encode, cacheable verdict) and skip
-//! byte-identical records, so shipping is idempotent: re-sending a
-//! window, crossing a compaction, or racing a concurrent writer can
-//! duplicate work but never corrupt a cache.
+//! the node's [`SHIP_FANOUT`] **successors** — the next members in
+//! ascending id order, wrapping round — over the wire protocol's
+//! `replicate` command, in batches that each fit the server's
+//! request-line cap (a journal tail can be many times that long).
+//! Receivers re-validate every frame (CRC, canonical re-encode,
+//! cacheable verdict) and skip byte-identical records, so shipping is
+//! idempotent: re-sending a window, crossing a compaction, or racing a
+//! concurrent writer can duplicate work but never corrupt a cache.
 //!
 //! Successor shipping replaces the original all-pairs fan-out (O(n²)
 //! connections per tick) with O(n·R). Replication still converges
-//! fleet-wide because the pieces compose into gossip: placement and
-//! successor sets are pure functions of the member set, the R=1
-//! successor relation is a single cycle over the members (see
+//! fleet-wide because the pieces compose into gossip: successor sets
+//! are a pure function of the member set, the R=1 successor relation
+//! is a single cycle over the members in id order (see
 //! [`Ring::successors`](crate::ring::Ring::successors)), and a receiver
 //! **re-journals** what it installs (`apply_replicated` persists to the
 //! receiver's own journal) — so a record hops successor-to-successor
-//! around the circle, one tick per hop, until every member holds it.
+//! around the cycle, one tick per hop, until every member holds it.
+//! Shipping is independent of request placement: every member ends up
+//! holding every record, whoever owns it.
 //!
 //! Cursors (journal generation + byte offset, see
 //! [`JournalCursor`](wave_serve::cache::JournalCursor)) are tracked per
@@ -50,7 +52,7 @@ use wave_serve::faults::{Fault, Faults, Hook};
 
 use crate::router::Router;
 
-/// Ring successors each node ships its journal to per tick. R=2 means
+/// Successors each node ships its journal to per tick. R=2 means
 /// one failure never strands a record: the other successor already has
 /// it (or receives it next tick) and gossips it onward.
 pub const SHIP_FANOUT: usize = 2;
@@ -114,7 +116,7 @@ pub struct Shipper {
 }
 
 impl Shipper {
-    /// Starts shipping every node's journal to its [`SHIP_FANOUT`] ring
+    /// Starts shipping every node's journal to its [`SHIP_FANOUT`]
     /// successors, once per `interval`. Faults at [`Hook::FleetShip`]
     /// drop or delay individual ship rounds.
     pub fn start(router: Arc<Router>, faults: Faults, interval: Duration) -> Shipper {

@@ -1,8 +1,7 @@
 //! Fleet end-to-end drills: routing determinism, fleet-wide
 //! at-most-once cold verification, journal-shipped replication, node
-//! kill/retire survival, re-join and ring re-expansion, heartbeat
-//! death detection, router-less client-side routing, and
-//! soft-partition chaos.
+//! kill/retire survival, re-join and placement re-expansion, heartbeat
+//! death detection, and soft-partition chaos.
 //!
 //! The invariant hierarchy under test: a fleet may lose *cached* work
 //! (it re-verifies cold), but it must never serve a wrong verdict,
@@ -17,7 +16,7 @@ use wave_chaos::plan::Plan;
 use wave_chaos::plane::ChaosPlane;
 use wave_fleet::heartbeat::HeartbeatOptions;
 use wave_fleet::local::{FleetOptions, LocalFleet, ProcessFleet};
-use wave_serve::client::{RoutedClient, TcpClient};
+use wave_serve::client::TcpClient;
 use wave_serve::codec::{verdict_to_json, Mode, VerifyRequest};
 use wave_serve::faults::Faults;
 use wave_serve::json::Json;
@@ -159,7 +158,7 @@ fn replication_ships_results_and_a_retired_node_s_verdicts_survive() {
     // successor, byte-identical — zero re-verification.
     let cold_before = fleet_cache_misses(&fleet);
     fleet.retire(1);
-    assert_eq!(router.epoch(), 1, "death must bump the ring epoch");
+    assert_eq!(router.epoch(), 1, "death must bump the placement epoch");
     for (i, f) in formulas().iter().enumerate() {
         let reply = router.submit(&request(f)).expect("post-retire verify");
         assert!(reply.cache_hit, "{f} must replay from the replicated cache");
@@ -255,13 +254,13 @@ fn sigkill_restart_and_rejoin_never_reverifies_journaled_content() {
     std::thread::sleep(Duration::from_millis(250));
 
     // SIGKILL mid-campaign, then restart from the same on-disk journal
-    // and re-join: peers replay in *before* the ring re-ranges.
+    // and re-join: peers replay in *before* the placement takes it back.
     assert!(fleet.kill(0), "node 0 must exist to be killed");
     let epoch_after_kill = fleet.router().epoch();
     fleet.restart(0).expect("restart from on-disk journal");
     assert!(
         fleet.router().epoch() > epoch_after_kill,
-        "re-join must bump the ring epoch"
+        "re-join must bump the placement epoch"
     );
     assert_eq!(fleet.router().nodes().len(), 3, "full strength restored");
 
@@ -301,8 +300,7 @@ fn sigkill_restart_and_rejoin_never_reverifies_journaled_content() {
         "zero re-verifications of journaled fingerprints after a re-join"
     );
 
-    // The restarted node is a full member again: it answers health with
-    // the current epoch (the join pushed the view).
+    // The restarted node is a full member again and answers health.
     let node0 = fleet
         .router()
         .nodes()
@@ -314,80 +312,12 @@ fn sigkill_restart_and_rejoin_never_reverifies_journaled_content() {
         .health()
         .expect("health");
     assert_eq!(health.shard, 0);
-    assert_eq!(health.epoch, fleet.router().epoch());
-    fleet.shutdown();
-}
-
-/// Client-side routing as router failover: with the view pushed, a
-/// `RoutedClient` bootstrapped off the *nodes* completes every request
-/// with byte-identical verdicts while the router is never on the
-/// request path — and keeps working across a membership change.
-#[test]
-fn routed_client_survives_without_the_router() {
-    let bin = std::path::Path::new(env!("CARGO_BIN_EXE_wave-fleet"));
-    let mut fleet = ProcessFleet::spawn(
-        bin,
-        3,
-        FleetOptions {
-            ship_interval: Duration::from_millis(25),
-            heartbeat: None, // membership driven by hand below
-            ..FleetOptions::default()
-        },
-    )
-    .expect("spawn process fleet");
-
-    // Warm the fleet through the router once (ground truth).
-    let mut first: Vec<String> = Vec::new();
-    for f in formulas() {
-        first.push(
-            fleet
-                .router()
-                .submit(&request(f))
-                .expect("verify")
-                .outcome_text,
-        );
-    }
-
-    // From here on the router is dead as far as requests are concerned:
-    // the client talks straight to owner nodes.
-    let bootstrap: Vec<std::net::SocketAddr> =
-        fleet.router().nodes().iter().map(|n| n.addr).collect();
-    let mut client = RoutedClient::new(bootstrap).with_read_timeout(Duration::from_secs(10));
-    for (i, f) in formulas().iter().enumerate() {
-        let reply = client.verify(&request(f)).expect("routed verify");
-        assert!(reply.cache_hit, "{f} must be served from the owner's cache");
-        assert_eq!(
-            reply.outcome_text, first[i],
-            "{f} verdict drifted through client-side routing"
-        );
-    }
-    assert_eq!(
-        client.view_epoch(),
-        fleet.router().epoch(),
-        "the client must hold the fleet's current view"
-    );
-
-    // Membership changes mid-stream: a node really dies (SIGKILL), the
-    // epoch bumps, the client recovers by protocol (dead socket or
-    // wrong_shard → refresh) — every request still completes, still
-    // byte-identical, with the router never on the request path.
-    assert!(fleet.kill(1), "node 1 must exist to be killed");
-    for (i, f) in formulas().iter().enumerate() {
-        let reply = client
-            .verify(&request(f))
-            .expect("post-death routed verify");
-        assert_eq!(
-            reply.outcome_text, first[i],
-            "{f} verdict drifted across a death under client-side routing"
-        );
-        assert_ne!(reply.shard, 1, "the dead node must not answer");
-    }
     fleet.shutdown();
 }
 
 /// The membership plane detects a *real* death on its own: a silent
 /// SIGKILL (the router is not told) must be noticed by heartbeat,
-/// confirmed, and executed — epoch bump, member off the ring.
+/// confirmed, and executed — epoch bump, member out of the placement.
 #[test]
 fn heartbeat_detects_a_silent_sigkill() {
     let bin = std::path::Path::new(env!("CARGO_BIN_EXE_wave-fleet"));
@@ -425,7 +355,7 @@ fn heartbeat_detects_a_silent_sigkill() {
     assert_eq!(
         fleet.router().nodes().len(),
         2,
-        "the corpse is off the ring"
+        "the corpse is out of the placement"
     );
     assert!(
         fleet.router().nodes().iter().all(|n| n.id != 2),
@@ -443,25 +373,26 @@ fn heartbeat_detects_a_silent_sigkill() {
     fleet.shutdown();
 }
 
-/// `health` and `members` round-trip over live TCP against real node
-/// processes: cheap liveness plus the epoch-tagged view any member can
-/// serve to bootstrapping clients.
+/// `health` round-trips over live TCP: every member answers with its
+/// shard id, and the node that verified a request reports the journal
+/// bytes it persisted.
 #[test]
-fn health_and_members_round_trip_over_live_tcp() {
+fn health_round_trips_over_live_tcp() {
     let fleet = LocalFleet::launch(3, FleetOptions::default()).expect("launch");
-    let view = fleet.router().member_view();
-    assert_eq!(view.members.len(), 3);
+    let served = fleet
+        .router()
+        .submit(&request(formulas()[0]))
+        .expect("verify");
     for node in fleet.router().nodes() {
         let mut c = TcpClient::connect_timeout(node.addr, Duration::from_secs(5)).expect("connect");
         let health = c.health().expect("health");
         assert_eq!(health.shard, node.id);
-        assert_eq!(health.epoch, view.epoch, "launch must push the view");
-        let served = c.members().expect("members");
-        assert_eq!(served.epoch, view.epoch);
-        assert_eq!(
-            served.members.iter().map(|m| m.id).collect::<Vec<_>>(),
-            view.members.iter().map(|m| m.id).collect::<Vec<_>>(),
-        );
+        if node.id == served.shard {
+            assert!(
+                health.journal_bytes > 0,
+                "the verifying node must report its journal"
+            );
+        }
     }
 }
 

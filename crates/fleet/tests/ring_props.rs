@@ -1,5 +1,6 @@
-//! Ring placement properties: the load balance and minimal-remap
-//! guarantees the fleet's cache locality rests on.
+//! Rendezvous placement properties: the load balance and minimal-remap
+//! guarantees the fleet's cache locality rests on, plus the successor
+//! cycle journal shipping rests on.
 //!
 //! Sampling is seeded, so these are exact, reproducible checks — the
 //! final test pins hard counts for one fixed seed to catch any silent
@@ -67,7 +68,7 @@ fn adding_one_node_steals_at_most_its_fair_share_and_only_for_itself() {
             }
         }
         let fair = fps.len() / (n as usize + 1);
-        // The new node's share is ~K/(n+1) with vnode variance; allow
+        // The new node's share is ~K/(n+1) with sampling variance; allow
         // the same 15% band the distribution test allows, plus slack
         // for small shares at large n.
         let bound = fair + fair / 4 + 64;
@@ -102,13 +103,13 @@ fn removing_one_node_reassigns_only_that_node_s_keys() {
 }
 
 /// Hard-pinned counts for one seed: any diff here means the placement
-/// function changed and every deployed ring would re-shuffle. Bump
-/// `RING_DOMAIN` if that is intended.
+/// function changed and every deployed fleet would re-shuffle. Bump
+/// `HRW_DOMAIN` if that is intended.
 #[test]
 fn placement_is_pinned_for_a_fixed_seed() {
     let fps = sample_fps(0xFEED, 4_096);
     let three = Ring::new(0..3);
-    assert_eq!(shares(&three, &fps), vec![(0, 1338), (1, 1382), (2, 1376)]);
+    assert_eq!(shares(&three, &fps), vec![(0, 1396), (1, 1353), (2, 1347)]);
 
     let mut four = three.clone();
     four.add_node(3);
@@ -117,11 +118,64 @@ fn placement_is_pinned_for_a_fixed_seed() {
         .filter(|fp| three.owner(**fp) != four.owner(**fp))
         .count();
     assert_eq!(
-        moved, 947,
-        "K/n for K=4096, n=4 is 1024; vnode variance pins 947"
+        moved, 1033,
+        "K/n for K=4096, n=4 is 1024; sampling variance pins 1033"
     );
     assert_eq!(
         shares(&four, &fps),
-        vec![(0, 1072), (1, 964), (2, 1113), (3, 947)]
+        vec![(0, 1054), (1, 1012), (2, 997), (3, 1033)]
     );
+}
+
+#[test]
+fn skipping_the_owner_lands_where_its_death_would() {
+    // A soft partition (the router skips the owner for one request)
+    // must fail over to the node that would own the fingerprint once
+    // the owner is removed, so both paths find the same cache.
+    let fps = sample_fps(0x5C1B, 5_000);
+    for n in 2..=16u32 {
+        let ring = Ring::new(0..n);
+        for fp in &fps {
+            let owner = ring.owner(*fp);
+            let mut without = ring.clone();
+            without.remove_node(owner);
+            assert_eq!(
+                ring.owner_excluding(*fp, &[owner]),
+                Some(without.owner(*fp)),
+                "{n} nodes: skipping {owner} and removing it disagree"
+            );
+        }
+    }
+}
+
+#[test]
+fn successor_sets_are_small_deterministic_and_cover_every_member() {
+    let ring = Ring::new(0..6u32);
+    for id in 0..6u32 {
+        let s = ring.successors(id, 2);
+        assert_eq!(s.len(), 2, "fan-out is exactly r, not all-pairs");
+        assert!(!s.contains(&id), "a node never ships to itself");
+        assert_eq!(s, ring.successors(id, 2), "pure function of members");
+    }
+    // The r=1 successor relation is one cycle over all members, so
+    // gossip along successors reaches every node transitively.
+    let mut seen = [false; 6];
+    let mut at = 0u32;
+    for _ in 0..6 {
+        seen[at as usize] = true;
+        at = ring.successors(at, 1)[0];
+    }
+    assert!(
+        seen.iter().all(|s| *s),
+        "successor relation must be one cycle"
+    );
+    // Sparse ids still form one cycle in ascending order, wrapping.
+    let sparse = Ring::new([9, 2, 5]);
+    assert_eq!(sparse.successors(2, 1), vec![5]);
+    assert_eq!(sparse.successors(5, 1), vec![9]);
+    assert_eq!(sparse.successors(9, 1), vec![2]);
+    // Small fleets degrade to full mesh.
+    let two = Ring::new([7, 9]);
+    assert_eq!(two.successors(7, 2), vec![9]);
+    assert_eq!(Ring::new([3]).successors(3, 2), Vec::<u32>::new());
 }

@@ -92,16 +92,6 @@ pub enum ClientError {
         /// Suggested wait before resubmitting, in milliseconds.
         after_ms: u64,
     },
-    /// The node's membership view places this request on another node
-    /// (kind `wrong_shard`; only possible for `check_owner` requests).
-    /// The fix is a view refresh, not a backoff: the refusing node's
-    /// `members` reply carries the fresher view.
-    WrongShard {
-        /// The refusing node's view epoch.
-        epoch: u64,
-        /// The owner that node's view computes.
-        owner: u32,
-    },
     /// The server answered `ok: false` (semantic refusal).
     Server(String),
     /// The response line was not valid protocol.
@@ -116,12 +106,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Draining => write!(f, "server is draining; not accepting new jobs"),
             ClientError::RetryAfter { after_ms } => {
                 write!(f, "server overloaded; retry after {after_ms} ms")
-            }
-            ClientError::WrongShard { epoch, owner } => {
-                write!(
-                    f,
-                    "wrong shard: owner is node {owner} at view epoch {epoch}"
-                )
             }
             ClientError::Server(e) => write!(f, "server: {e}"),
             ClientError::Protocol(e) => write!(f, "protocol: {e}"),
@@ -153,17 +137,6 @@ fn decode_verify_line(line: &str) -> Result<VerifyReply, ClientError> {
                         .and_then(Json::as_int)
                         .map_or(1_000, |n| n.max(0) as u64);
                     return Err(ClientError::RetryAfter { after_ms });
-                }
-                Some("wrong_shard") => {
-                    let epoch = v
-                        .get("epoch")
-                        .and_then(Json::as_int)
-                        .map_or(0, |n| n.max(0) as u64);
-                    let owner = v
-                        .get("owner")
-                        .and_then(Json::as_int)
-                        .map_or(0, |n| n.max(0) as u32);
-                    return Err(ClientError::WrongShard { epoch, owner });
                 }
                 _ => {}
             }
@@ -354,14 +327,12 @@ impl RetryPolicy {
 }
 
 /// The shared reconnect loop behind [`TcpClient::verify_with_retry`]
-/// and [`TcpClient::verify_with_failover`]: exponential backoff with
+/// and [`SessionPool::verify_with_retry`]: exponential backoff with
 /// decorrelated jitter, a per-sleep cap, an attempt count and a total
-/// sleep budget. `migrate_on_draining` additionally treats a `Draining`
-/// refusal as retryable (sound only when attempts rotate across nodes).
+/// sleep budget.
 fn retry_loop(
     policy: &RetryPolicy,
-    migrate_on_draining: bool,
-    mut attempt_once: impl FnMut(u32) -> Result<VerifyReply, ClientError>,
+    mut attempt_once: impl FnMut() -> Result<VerifyReply, ClientError>,
 ) -> Result<VerifyReply, ClientError> {
     let mut rng = SplitMix64::seed_from_u64(policy.seed);
     let mut slept = Duration::ZERO;
@@ -371,13 +342,11 @@ fn retry_loop(
     let attempts = policy.max_attempts.max(1);
     let mut last_err = None;
     for attempt in 0..attempts {
-        let err = match attempt_once(attempt) {
+        let err = match attempt_once() {
             Ok(reply) => return Ok(reply),
             Err(e) => e,
         };
-        let retryable = RetryPolicy::retryable(&err)
-            || (migrate_on_draining && matches!(err, ClientError::Draining));
-        if !retryable || attempt + 1 == attempts {
+        if !RetryPolicy::retryable(&err) || attempt + 1 == attempts {
             return Err(err);
         }
         // Decorrelated jitter (Brooker): sleep ~ U[base, prev*3],
@@ -514,33 +483,8 @@ impl TcpClient {
         req: &VerifyRequest,
         policy: &RetryPolicy,
     ) -> Result<VerifyReply, ClientError> {
-        retry_loop(policy, false, |_| {
+        retry_loop(policy, || {
             TcpClient::connect_timeout(&addr, read_timeout)
-                .map_err(ClientError::Io)
-                .and_then(|mut c| c.verify(req))
-        })
-    }
-
-    /// Like [`TcpClient::verify_with_retry`], but across a **list of
-    /// nodes**: attempt `i` targets `addrs[i % addrs.len()]` on a fresh
-    /// connection, so a node that dies mid-frame (EOF, torn line,
-    /// timeout) fails the request over to the next node instead of
-    /// retrying a corpse — and a `Draining` refusal migrates too, since
-    /// another node can still answer. A desynced session is never
-    /// reused: every attempt starts clean, and resubmitting is safe
-    /// because verifies are idempotent by fingerprint.
-    pub fn verify_with_failover(
-        addrs: &[std::net::SocketAddr],
-        read_timeout: Duration,
-        req: &VerifyRequest,
-        policy: &RetryPolicy,
-    ) -> Result<VerifyReply, ClientError> {
-        if addrs.is_empty() {
-            return Err(ClientError::Protocol("no addresses to fail over".into()));
-        }
-        retry_loop(policy, addrs.len() > 1, |attempt| {
-            let addr = addrs[attempt as usize % addrs.len()];
-            TcpClient::connect_timeout(addr, read_timeout)
                 .map_err(ClientError::Io)
                 .and_then(|mut c| c.verify(req))
         })
@@ -638,45 +582,9 @@ impl TcpClient {
         };
         Ok(HealthReply {
             shard: int("shard")?.max(0) as u32,
-            epoch: int("epoch")?.max(0) as u64,
             journal_bytes: int("journal_bytes")?.max(0) as u64,
             generation: int("generation")?.max(0) as u64,
         })
-    }
-
-    /// Fetches the node's installed membership view.
-    pub fn members(&mut self) -> Result<crate::view::MemberView, ClientError> {
-        let line = self.round_trip(&Request::Members.encode())?;
-        let v = Json::parse(&line).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        if v.get("ok").and_then(Json::as_bool) != Some(true) {
-            let msg = v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified error");
-            return Err(ClientError::Server(msg.to_string()));
-        }
-        let view = v
-            .get("view")
-            .ok_or_else(|| ClientError::Protocol("members: missing view".into()))?;
-        crate::view::MemberView::from_json(view).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
-    /// Pushes a membership view to the node; returns the epoch now in
-    /// force there (higher when the node already held a fresher view).
-    pub fn install_view(&mut self, view: &crate::view::MemberView) -> Result<u64, ClientError> {
-        let line = self.round_trip(&Request::InstallView { view: view.clone() }.encode())?;
-        let v = Json::parse(&line).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        if v.get("ok").and_then(Json::as_bool) != Some(true) {
-            let msg = v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified error");
-            return Err(ClientError::Server(msg.to_string()));
-        }
-        v.get("epoch")
-            .and_then(Json::as_int)
-            .map(|n| n.max(0) as u64)
-            .ok_or_else(|| ClientError::Protocol("install_view: missing epoch".into()))
     }
 }
 
@@ -685,17 +593,16 @@ impl TcpClient {
 pub const IDLE_SESSIONS_PER_ADDR: usize = 4;
 
 /// Idle TCP sessions to forward verifies over, keyed by node address:
-/// the one session-reuse implementation behind `Router::submit` and
-/// [`RoutedClient::verify`]. A connection per request costs a
-/// handshake, a server thread and a teardown, several times the price
-/// of a cache hit.
+/// the session reuse behind `Router::submit`. A connection per request
+/// costs a handshake, a server thread and a teardown, several times the
+/// price of a cache hit.
 ///
 /// Reuse rules:
 ///
 /// * a session goes back to the pool only after a **complete reply
-///   line** — an answer or a typed refusal (`wrong_shard`, overload,
-///   draining) alike. A session that saw a transport error or a
-///   timeout is dropped: a late reply would desync it;
+///   line** — an answer or a typed refusal (overload, draining)
+///   alike. A session that saw a transport error or a timeout is
+///   dropped: a late reply would desync it;
 /// * a **reused** session that fails at the transport level was most
 ///   likely closed by the peer while it sat idle, so the request is
 ///   retried once on a fresh connection (and the address's other idle
@@ -755,7 +662,7 @@ impl SessionPool {
         req: &VerifyRequest,
         policy: &RetryPolicy,
     ) -> Result<VerifyReply, ClientError> {
-        retry_loop(policy, false, |_| self.verify(addr, req))
+        retry_loop(policy, || self.verify(addr, req))
     }
 
     /// Closes every idle session to `addr`.
@@ -764,14 +671,6 @@ impl SessionPool {
             .lock()
             .expect("session pool poisoned")
             .remove(&addr);
-    }
-
-    /// Closes the idle sessions of every address `keep` rejects.
-    pub fn retain(&self, keep: impl Fn(&SocketAddr) -> bool) {
-        self.idle
-            .lock()
-            .expect("session pool poisoned")
-            .retain(|addr, _| keep(addr));
     }
 
     /// Idle sessions pooled for `addr`.
@@ -805,173 +704,10 @@ impl SessionPool {
 pub struct HealthReply {
     /// The answering node's shard id.
     pub shard: u32,
-    /// Its installed view epoch (`0` before any push).
-    pub epoch: u64,
     /// Its cache journal size in bytes.
     pub journal_bytes: u64,
     /// Its journal generation stamp (the `.gen` sidecar value).
     pub generation: u64,
-}
-
-/// How many consecutive stale-view refusals a [`RoutedClient`] absorbs
-/// before giving up on checked routing and failing over unchecked.
-const MAX_STALE_RETRIES: usize = 4;
-
-/// A self-routing client: holds an epoch-tagged membership view,
-/// computes ring placement locally, and talks **straight to owner
-/// nodes** — no router on the request path, so a dead router costs
-/// routed clients nothing.
-///
-/// Staleness is handled by protocol, not by coordination: requests go
-/// out with `check_owner` set, and a node whose view disagrees refuses
-/// with `wrong_shard`, at which point the client refetches the view
-/// (the refusing node itself serves the fresher one) and retries. If no
-/// fresh-enough view can be obtained — or the computed owner is
-/// unreachable — the client falls back to **unchecked failover** across
-/// every member it knows: any node computes correct verdicts, ownership
-/// only concentrates the cache, so availability never hinges on view
-/// agreement.
-pub struct RoutedClient {
-    /// Addresses tried for view fetches when no member is known (or
-    /// none is reachable): typically the initial node list, optionally
-    /// including the router front end.
-    bootstrap: Vec<std::net::SocketAddr>,
-    read_timeout: Duration,
-    retry: RetryPolicy,
-    view: Option<(crate::view::MemberView, crate::ring::Ring)>,
-    /// Sessions to the members, reused across checked attempts.
-    sessions: SessionPool,
-}
-
-impl RoutedClient {
-    /// A routed client bootstrapping its view from `bootstrap`.
-    pub fn new(bootstrap: Vec<std::net::SocketAddr>) -> RoutedClient {
-        RoutedClient {
-            bootstrap,
-            read_timeout: DEFAULT_READ_TIMEOUT,
-            retry: RetryPolicy::default(),
-            view: None,
-            sessions: SessionPool::new(DEFAULT_READ_TIMEOUT),
-        }
-    }
-
-    /// Sets the per-read timeout used for every connection.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> RoutedClient {
-        self.read_timeout = timeout;
-        self.sessions = SessionPool::new(timeout);
-        self
-    }
-
-    /// Sets the retry policy used by the unchecked-failover fallback.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> RoutedClient {
-        self.retry = policy;
-        self
-    }
-
-    /// The epoch of the held view (`0` before the first fetch).
-    pub fn view_epoch(&self) -> u64 {
-        self.view.as_ref().map_or(0, |(v, _)| v.epoch)
-    }
-
-    /// Refetches the membership view from every known member plus the
-    /// bootstrap list, keeping the **highest epoch** seen — so one
-    /// reachable up-to-date node (e.g. the one that just refused us
-    /// with `wrong_shard`) is enough to catch up, router dead or not.
-    pub fn refresh_view(&mut self) -> Result<u64, ClientError> {
-        let mut candidates: Vec<std::net::SocketAddr> = Vec::new();
-        if let Some((view, _)) = &self.view {
-            candidates.extend(view.members.iter().map(|m| m.addr));
-        }
-        for addr in &self.bootstrap {
-            if !candidates.contains(addr) {
-                candidates.push(*addr);
-            }
-        }
-        let mut best: Option<crate::view::MemberView> = None;
-        let mut last_err = ClientError::Protocol("no membership source configured".into());
-        for addr in candidates {
-            match TcpClient::connect_timeout(addr, self.read_timeout)
-                .map_err(ClientError::Io)
-                .and_then(|mut c| c.members())
-            {
-                Ok(view) => {
-                    if best.as_ref().is_none_or(|b| view.epoch > b.epoch) {
-                        best = Some(view);
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        match best {
-            Some(view) => {
-                let epoch = view.epoch;
-                let ring = view.ring();
-                // Sessions to addresses that left the view would only
-                // ever reach a departed node.
-                self.sessions
-                    .retain(|addr| view.members.iter().any(|m| m.addr == *addr));
-                self.view = Some((view, ring));
-                Ok(epoch)
-            }
-            None => Err(last_err),
-        }
-    }
-
-    /// Routes one verify request to completion without a router:
-    /// checked attempt at the locally-computed owner, view refresh on
-    /// `wrong_shard`, unchecked failover across all known members when
-    /// checked routing cannot converge or the owner is unreachable.
-    pub fn verify(&mut self, req: &VerifyRequest) -> Result<VerifyReply, ClientError> {
-        if self.view.is_none() {
-            self.refresh_view()?;
-        }
-        let mut checked = req.clone();
-        checked.check_owner = true;
-        let fp = crate::view::routing_fingerprint(req);
-        for _ in 0..MAX_STALE_RETRIES {
-            let Some((view, ring)) = &self.view else {
-                break;
-            };
-            if ring.is_empty() {
-                break;
-            }
-            let owner = ring.owner(fp);
-            let Some(addr) = view.addr_of(owner) else {
-                break;
-            };
-            let held_epoch = view.epoch;
-            match self.sessions.verify(addr, &checked) {
-                Ok(reply) => return Ok(reply),
-                Err(ClientError::WrongShard { epoch, .. }) => {
-                    // The refuser's view disagrees with ours. Refreshing
-                    // keeps the highest epoch reachable — including the
-                    // refuser's. If that still is not fresher than what
-                    // we already routed by, views genuinely disagree at
-                    // our freshest knowledge; stop checking and fail
-                    // over unchecked.
-                    let refreshed = self.refresh_view()?;
-                    if refreshed <= held_epoch && refreshed < epoch {
-                        break;
-                    }
-                }
-                Err(ClientError::Io(_) | ClientError::Timeout) => {
-                    // Owner unreachable: the membership may have moved
-                    // on without us. Refresh best-effort, then fail over
-                    // unchecked — a request must not hang on one corpse.
-                    let _ = self.refresh_view();
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let addrs: Vec<std::net::SocketAddr> = match &self.view {
-            Some((view, _)) if !view.members.is_empty() => {
-                view.members.iter().map(|m| m.addr).collect()
-            }
-            _ => self.bootstrap.clone(),
-        };
-        TcpClient::verify_with_failover(&addrs, self.read_timeout, req, &self.retry)
-    }
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@ use std::time::Duration;
 use wave_verifier::symbolic::{SearchStats, Verdict, VerifyOutcome};
 
 use crate::json::Json;
-use crate::view::MemberView;
 
 /// What the engine should decide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,14 +88,10 @@ pub struct VerifyRequest {
     /// fingerprint: it can only turn a run into `cancelled`, which is
     /// never cached.
     pub deadline_us: u64,
-    /// When set, the node verifies only if its installed membership
-    /// view says it owns this request's fingerprint; otherwise it
-    /// refuses with kind `wrong_shard` (carrying its view epoch and the
-    /// owner it computes). Set by clients routing on their own view —
-    /// the refusal is how a stale client learns to refetch. The router
-    /// never sets it: router failover deliberately lands requests on
-    /// non-owners. Absent on the wire means `false`, so old clients
-    /// are unaffected. Excluded from the fingerprint.
+    /// Accepted and ignored: a node verifies every request it is sent,
+    /// whoever owns the fingerprint (any node computes the same
+    /// verdict). Still decoded and encoded so older clients and stored
+    /// request lines keep working, and excluded from the fingerprint.
     pub check_owner: bool,
 }
 
@@ -122,19 +117,10 @@ pub enum Request {
         /// CRC-framed journal lines, newline-free.
         lines: Vec<String>,
     },
-    /// Cheap liveness probe: replies with the node's view epoch,
-    /// journal length and cache generation without touching the
-    /// scheduler, so the heartbeat plane can probe under full load.
+    /// Cheap liveness probe: replies with the node's shard, journal
+    /// length and cache generation without touching the scheduler, so
+    /// the heartbeat plane can probe under full load.
     Health,
-    /// Report the node's installed membership view (epoch-tagged), so
-    /// clients can bootstrap placement from any member.
-    Members,
-    /// Install a membership view pushed by the routing authority. The
-    /// node keeps the higher-epoch view.
-    InstallView {
-        /// The pushed view.
-        view: MemberView,
-    },
 }
 
 /// Errors raised while decoding a line into a [`Request`].
@@ -176,13 +162,6 @@ impl Request {
         match cmd {
             "stats" => Ok(Request::Stats),
             "health" => Ok(Request::Health),
-            "members" => Ok(Request::Members),
-            "install_view" => {
-                let view = v.get("view").ok_or_else(|| err("missing \"view\""))?;
-                Ok(Request::InstallView {
-                    view: MemberView::from_json(view)?,
-                })
-            }
             "replicate" => {
                 let lines = v
                     .get("lines")
@@ -258,12 +237,6 @@ impl Request {
         match self {
             Request::Stats => Json::Obj(vec![("cmd".into(), Json::str("stats"))]).encode(),
             Request::Health => Json::Obj(vec![("cmd".into(), Json::str("health"))]).encode(),
-            Request::Members => Json::Obj(vec![("cmd".into(), Json::str("members"))]).encode(),
-            Request::InstallView { view } => Json::Obj(vec![
-                ("cmd".into(), Json::str("install_view")),
-                ("view".into(), view.to_json()),
-            ])
-            .encode(),
             Request::Drain { deadline_ms } => Json::Obj(vec![
                 ("cmd".into(), Json::str("drain")),
                 ("deadline_ms".into(), Json::Int(*deadline_ms as i64)),
@@ -287,8 +260,8 @@ impl Request {
                     ("threads".into(), Json::Int(r.threads as i64)),
                     ("deadline_us".into(), Json::Int(r.deadline_us as i64)),
                 ];
-                // Emitted only when set, so requests from non-routing
-                // callers stay byte-identical to the pre-mesh wire.
+                // Emitted only when set, so requests that never set it
+                // stay byte-identical to the pre-mesh wire.
                 if r.check_owner {
                     fields.push(("check_owner".into(), Json::Bool(true)));
                 }
@@ -532,16 +505,6 @@ mod tests {
         let reqs = vec![
             Request::Stats,
             Request::Health,
-            Request::Members,
-            Request::InstallView {
-                view: crate::view::MemberView {
-                    epoch: 9,
-                    members: vec![crate::view::MemberInfo {
-                        id: 4,
-                        addr: "127.0.0.1:4004".parse().unwrap(),
-                    }],
-                },
-            },
             Request::Drain { deadline_ms: 2500 },
             Request::Verify(VerifyRequest {
                 service: "checkout_core".into(),
@@ -591,17 +554,13 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // A non-boolean check_owner is a decode error, and a view push
-        // with a malformed member list is refused.
+        // A non-boolean check_owner is a decode error, and the retired
+        // membership command is unknown.
         assert!(Request::decode(
             r#"{"cmd":"verify","service":"t","property":"G true","check_owner":1}"#
         )
         .is_err());
-        assert!(Request::decode(r#"{"cmd":"install_view"}"#).is_err());
-        assert!(Request::decode(
-            r#"{"cmd":"install_view","view":{"epoch":1,"members":[{"id":0}]}}"#
-        )
-        .is_err());
+        assert!(Request::decode(r#"{"cmd":"members"}"#).is_err());
         assert!(Request::decode(r#"{"cmd":"verify","service":"t"}"#).is_err());
         assert!(Request::decode(r#"{"cmd":"nope"}"#).is_err());
         assert!(Request::decode("not json").is_err());

@@ -370,10 +370,6 @@ pub struct Engine {
     /// the cone-sliced service, plus the shared LTL→Büchi automaton
     /// cache (see [`crate::tiers`]).
     tiers: crate::tiers::TierStore,
-    /// The installed membership view and the ring it induces, pushed by
-    /// the routing authority (`install_view`). `None` for standalone
-    /// engines — ownership is then unverifiable and never refused.
-    view: Mutex<Option<(crate::view::MemberView, crate::ring::Ring)>>,
     /// Monotonic counters for the `stats` report.
     pub counters: Counters,
 }
@@ -410,6 +406,29 @@ pub fn request_fingerprint(
     }
     h.write_len(normalized.node_limit);
     Fingerprint(h.finish())
+}
+
+/// The fingerprint a fleet router places a request by: identical to
+/// [`request_fingerprint`] for well-formed requests, so placement and
+/// caching agree on every node. Content that cannot be resolved
+/// (unknown service, unparsable property) places by raw text — any
+/// node produces the typed refusal, the placement just has to be
+/// deterministic.
+pub fn routing_fingerprint(req: &VerifyRequest) -> u128 {
+    if let Some(service) = registry::resolve(&req.service) {
+        let property = match req.mode {
+            Mode::ErrorFree => None,
+            Mode::Ltl => parse_property(&req.property).ok(),
+        };
+        if property.is_some() || req.mode == Mode::ErrorFree {
+            return request_fingerprint(&service, property.as_ref(), req.mode, req.node_limit).0;
+        }
+    }
+    let mut h = Fnv128::new();
+    h.write_str("wave-fleet/unroutable/v1");
+    h.write_str(&req.service);
+    h.write_str(&req.property);
+    h.finish()
 }
 
 /// RAII in-flight tracker: counted from acceptance to completion so
@@ -457,7 +476,6 @@ impl Engine {
             runs: Mutex::new(HashMap::new()),
             shard: opts.shard,
             tiers,
-            view: Mutex::new(None),
             counters: Counters::default(),
         }
     }
@@ -517,60 +535,6 @@ impl Engine {
     /// plane can see journal turnover without reading the file.
     pub fn journal_generation(&self) -> u64 {
         self.cache.lock().expect("cache poisoned").generation()
-    }
-
-    /// Installs a membership view if it is fresher (higher epoch) than
-    /// the one held; returns the epoch now in force. Equal-epoch pushes
-    /// re-install (the member set at one epoch is unique anyway).
-    pub fn install_view(&self, view: crate::view::MemberView) -> u64 {
-        let mut slot = self.view.lock().expect("view poisoned");
-        match slot.as_ref() {
-            Some((held, _)) if held.epoch > view.epoch => held.epoch,
-            _ => {
-                let epoch = view.epoch;
-                let ring = view.ring();
-                *slot = Some((view, ring));
-                epoch
-            }
-        }
-    }
-
-    /// The installed membership view, if any.
-    pub fn member_view(&self) -> Option<crate::view::MemberView> {
-        self.view
-            .lock()
-            .expect("view poisoned")
-            .as_ref()
-            .map(|(v, _)| v.clone())
-    }
-
-    /// The epoch of the installed view (`0` when none is installed).
-    pub fn view_epoch(&self) -> u64 {
-        self.view
-            .lock()
-            .expect("view poisoned")
-            .as_ref()
-            .map_or(0, |(v, _)| v.epoch)
-    }
-
-    /// Ownership check for `check_owner` requests: `Some((epoch,
-    /// owner))` when this node's installed view says another member
-    /// owns the request's fingerprint — the caller refuses with
-    /// `wrong_shard` so a stale self-routing client refetches. With no
-    /// view installed (standalone engine) ownership is unverifiable
-    /// and never refused: any node computes correct verdicts, ownership
-    /// only concentrates the cache.
-    pub fn wrong_shard(&self, req: &VerifyRequest) -> Option<(u64, u32)> {
-        if !req.check_owner {
-            return None;
-        }
-        let slot = self.view.lock().expect("view poisoned");
-        let (view, ring) = slot.as_ref()?;
-        if ring.is_empty() {
-            return None;
-        }
-        let owner = ring.owner(crate::view::routing_fingerprint(req));
-        (owner != self.shard).then_some((view.epoch, owner))
     }
 
     /// Starts a graceful drain: in-flight jobs finish, every subsequent
@@ -1165,52 +1129,14 @@ mod tests {
     }
 
     #[test]
-    fn view_install_keeps_freshest_and_gates_ownership() {
-        use crate::view::{MemberInfo, MemberView};
-        let shard_two = Engine::new(EngineOptions {
-            shard: 2,
-            ..EngineOptions::default()
-        });
-        let mut r = req("toggle", "G (P | Q)");
-        // No view installed: check_owner is unverifiable, never refused.
-        r.check_owner = true;
-        assert_eq!(shard_two.wrong_shard(&r), None);
-        let members = vec![
-            MemberInfo {
-                id: 2,
-                addr: "127.0.0.1:1".parse().unwrap(),
-            },
-            MemberInfo {
-                id: 5,
-                addr: "127.0.0.1:2".parse().unwrap(),
-            },
-        ];
-        assert_eq!(
-            shard_two.install_view(MemberView {
-                epoch: 3,
-                members: members.clone()
-            }),
-            3
-        );
-        // A stale (lower-epoch) push is ignored.
-        assert_eq!(
-            shard_two.install_view(MemberView {
-                epoch: 1,
-                members: members.clone()
-            }),
-            3
-        );
-        assert_eq!(shard_two.view_epoch(), 3);
-        let ring = crate::ring::Ring::new([2u32, 5]);
-        let owner = ring.owner(crate::view::routing_fingerprint(&r));
-        if owner == 2 {
-            assert_eq!(shard_two.wrong_shard(&r), None);
-        } else {
-            assert_eq!(shard_two.wrong_shard(&r), Some((3, owner)));
-        }
-        // Without check_owner the same request is always accepted.
-        r.check_owner = false;
-        assert_eq!(shard_two.wrong_shard(&r), None);
+    fn routing_fingerprint_is_the_cache_key_or_a_raw_text_hash() {
+        let r = req("toggle", "G (P | Q)");
+        let e = Engine::new(EngineOptions::default());
+        let served = e.submit(&r).unwrap();
+        assert_eq!(routing_fingerprint(&r), served.fingerprint.0);
+        let unknown = req("no_such_service", "G true");
+        assert_eq!(routing_fingerprint(&unknown), routing_fingerprint(&unknown));
+        assert_ne!(routing_fingerprint(&unknown), routing_fingerprint(&r));
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //!   tier keyed by the property's cone-sliced service and an LTL→Büchi
 //!   automaton tier keyed by the formula, so an edit the property
 //!   cannot observe replays the prior verdict without a search.
-//! * [`ring`] / [`view`] — consistent-hash placement over the
-//!   fingerprint space and the epoch-tagged membership view it runs
-//!   on. They live here (not in `wave-fleet`) so router, node and
-//!   client all share one placement function — the soundness basis for
-//!   client-side routing and `wrong_shard` staleness detection.
+//!
+//! A node verifies every request it is sent. Fleet placement lives in
+//! `wave-fleet`'s router, the one component that places and forwards
+//! requests; a client may still send to any node directly and gets the
+//! same correct verdict, only without the fleet-wide cache
+//! concentration the router's placement buys.
 //!
 //! The `wave-serve` binary exposes `serve` / `submit` / `stats`
 //! subcommands; see the README quickstart.
@@ -45,11 +46,9 @@ pub mod engine;
 pub mod faults;
 pub mod json;
 pub mod registry;
-pub mod ring;
 pub mod scheduler;
 pub mod server;
 pub mod tiers;
-pub mod view;
 
 pub use cache::ResultCache;
 pub use client::{LocalClient, RetryPolicy, TcpClient, VerifyReply};
@@ -57,7 +56,5 @@ pub use codec::{Mode, Request, VerifyRequest};
 pub use engine::{Engine, EngineOptions, SubmitError, SubmitResult};
 pub use faults::{Fault, FaultInjector, Faults, Hook};
 pub use json::Json;
-pub use ring::Ring;
 pub use scheduler::Scheduler;
 pub use server::Server;
-pub use view::{MemberInfo, MemberView};

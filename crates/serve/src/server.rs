@@ -57,28 +57,11 @@ pub fn handle_line(engine: &Engine, line: &str) -> String {
             Json::Obj(vec![
                 ("ok".into(), Json::Bool(true)),
                 ("shard".into(), Json::Int(engine.shard() as i64)),
-                ("epoch".into(), Json::Int(engine.view_epoch() as i64)),
                 ("journal_bytes".into(), Json::Int(journal_bytes as i64)),
                 (
                     "generation".into(),
                     Json::Int(engine.journal_generation() as i64),
                 ),
-            ])
-            .encode()
-        }
-        Ok(Request::Members) => match engine.member_view() {
-            Some(view) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("view".into(), view.to_json()),
-            ])
-            .encode(),
-            None => error_line("no membership view installed"),
-        },
-        Ok(Request::InstallView { view }) => {
-            let epoch = engine.install_view(view);
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("epoch".into(), Json::Int(epoch as i64)),
             ])
             .encode()
         }
@@ -191,11 +174,6 @@ pub fn handle_line(engine: &Engine, line: &str) -> String {
                         ("journal_recovered".into(), Json::Int(recovered as i64)),
                         ("journal_dropped".into(), Json::Int(dropped as i64)),
                         ("persistent".into(), Json::Bool(persistent)),
-                        ("view_epoch".into(), Json::Int(engine.view_epoch() as i64)),
-                        (
-                            "view_members".into(),
-                            Json::Int(engine.member_view().map_or(0, |v| v.members.len()) as i64),
-                        ),
                         (
                             "services".into(),
                             Json::Arr(registry::names().iter().map(|n| Json::str(*n)).collect()),
@@ -231,27 +209,6 @@ pub fn handle_line(engine: &Engine, line: &str) -> String {
                 ("applied".into(), Json::Int(applied)),
                 ("refreshed".into(), Json::Int(refreshed)),
                 ("dropped".into(), Json::Int(dropped)),
-            ])
-            .encode()
-        }
-        // Ownership gate for self-routing clients: a `check_owner`
-        // request this node's view says belongs elsewhere is refused
-        // with the node's epoch and the owner it computes — the client
-        // either has a staler view (refetch) or a fresher one (retry
-        // without the check; any node can serve correctly).
-        Ok(Request::Verify(req)) if engine.wrong_shard(&req).is_some() => {
-            let (epoch, owner) = engine.wrong_shard(&req).expect("checked in guard");
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                (
-                    "error".into(),
-                    Json::str(format!(
-                        "wrong shard: this view (epoch {epoch}) places the request on node {owner}"
-                    )),
-                ),
-                ("kind".into(), Json::str("wrong_shard")),
-                ("epoch".into(), Json::Int(epoch as i64)),
-                ("owner".into(), Json::Int(owner as i64)),
             ])
             .encode()
         }
@@ -577,8 +534,6 @@ mod tests {
             "automaton_misses",
             "queued",
             "running",
-            "view_epoch",
-            "view_members",
         ] {
             assert_eq!(
                 stats.get(key).and_then(Json::as_int),
@@ -590,101 +545,35 @@ mod tests {
     }
 
     #[test]
-    fn health_members_and_view_install_round_trip() {
-        use crate::view::{MemberInfo, MemberView};
+    fn health_reply_carries_shard_journal_and_generation() {
         let e = Engine::new(EngineOptions {
             shard: 1,
             ..EngineOptions::default()
         });
-        // Health answers before any view exists (epoch 0).
         let h = Json::parse(&handle_line(&e, r#"{"cmd":"health"}"#)).unwrap();
         assert_eq!(h.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(h.get("shard").unwrap().as_int(), Some(1));
-        assert_eq!(h.get("epoch").unwrap().as_int(), Some(0));
         assert_eq!(h.get("journal_bytes").unwrap().as_int(), Some(0));
         assert!(h.get("generation").unwrap().as_int().is_some());
-        // No view yet: members is a typed error, not a hang or a panic.
-        let m = Json::parse(&handle_line(&e, r#"{"cmd":"members"}"#)).unwrap();
-        assert_eq!(m.get("ok").unwrap().as_bool(), Some(false));
-        // Install a view; members echoes it back byte-identically and
-        // health reports the new epoch.
-        let view = MemberView {
-            epoch: 4,
-            members: vec![
-                MemberInfo {
-                    id: 1,
-                    addr: "127.0.0.1:4001".parse().unwrap(),
-                },
-                MemberInfo {
-                    id: 3,
-                    addr: "127.0.0.1:4003".parse().unwrap(),
-                },
-            ],
-        };
-        let push = Request::InstallView { view: view.clone() }.encode();
-        let r = Json::parse(&handle_line(&e, &push)).unwrap();
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(r.get("epoch").unwrap().as_int(), Some(4));
-        let m = Json::parse(&handle_line(&e, r#"{"cmd":"members"}"#)).unwrap();
-        assert_eq!(m.get("view").unwrap().encode(), view.to_json().encode());
-        let h = Json::parse(&handle_line(&e, r#"{"cmd":"health"}"#)).unwrap();
-        assert_eq!(h.get("epoch").unwrap().as_int(), Some(4));
-        let s = Json::parse(&handle_line(&e, r#"{"cmd":"stats"}"#)).unwrap();
-        let stats = s.get("stats").unwrap();
-        assert_eq!(stats.get("view_epoch").unwrap().as_int(), Some(4));
-        assert_eq!(stats.get("view_members").unwrap().as_int(), Some(2));
     }
 
     #[test]
-    fn check_owner_refuses_foreign_fingerprints_with_wrong_shard() {
-        use crate::view::{routing_fingerprint, MemberInfo, MemberView};
-        let mk = |shard: u32| {
-            let e = Engine::new(EngineOptions {
-                shard,
-                ..EngineOptions::default()
-            });
-            e.install_view(MemberView {
-                epoch: 2,
-                members: vec![
-                    MemberInfo {
-                        id: 0,
-                        addr: "127.0.0.1:4000".parse().unwrap(),
-                    },
-                    MemberInfo {
-                        id: 1,
-                        addr: "127.0.0.1:4001".parse().unwrap(),
-                    },
-                ],
-            });
-            e
-        };
-        let req = crate::codec::VerifyRequest {
-            service: "toggle".into(),
-            property: "G (P | Q)".into(),
-            mode: crate::codec::Mode::Ltl,
-            node_limit: 0,
-            threads: 1,
-            deadline_us: 0,
-            check_owner: true,
-        };
-        let owner = crate::ring::Ring::new([0u32, 1]).owner(routing_fingerprint(&req));
-        let line = Request::Verify(req.clone()).encode();
-        // The owner serves it; the other node refuses with the typed
-        // wrong_shard envelope naming the owner and its epoch.
-        let served = Json::parse(&handle_line(&mk(owner), &line)).unwrap();
-        assert_eq!(served.get("ok").unwrap().as_bool(), Some(true));
-        let other = Json::parse(&handle_line(&mk(1 - owner), &line)).unwrap();
-        assert_eq!(other.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(other.get("kind").unwrap().as_str(), Some("wrong_shard"));
-        assert_eq!(other.get("epoch").unwrap().as_int(), Some(2));
-        assert_eq!(other.get("owner").unwrap().as_int(), Some(owner as i64));
-        // Without the flag the non-owner serves it too (router failover
-        // path must keep working).
-        let mut relaxed = req;
-        relaxed.check_owner = false;
-        let line = Request::Verify(relaxed).encode();
-        let r = Json::parse(&handle_line(&mk(1 - owner), &line)).unwrap();
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
+    fn check_owner_is_accepted_and_ignored() {
+        // Any node serves any request: the flag old self-routing
+        // clients set neither refuses nor changes the answer.
+        let e = Engine::new(EngineOptions {
+            shard: 5,
+            ..EngineOptions::default()
+        });
+        let plain = r#"{"cmd":"verify","service":"toggle","property":"G (P | Q)"}"#;
+        let checked =
+            r#"{"cmd":"verify","service":"toggle","property":"G (P | Q)","check_owner":true}"#;
+        let a = Json::parse(&handle_line(&e, plain)).unwrap();
+        let b = Json::parse(&handle_line(&e, checked)).unwrap();
+        assert_eq!(b.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(b.get("cache_hit").unwrap().as_bool(), Some(true));
+        assert_eq!(a.get("fingerprint"), b.get("fingerprint"));
+        assert_eq!(a.get("outcome"), b.get("outcome"));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wave_serve::client::{ClientError, RetryPolicy, TcpClient};
@@ -159,139 +161,6 @@ fn retry_reconnects_and_succeeds_on_a_later_attempt() {
 }
 
 #[test]
-fn failover_survives_a_mid_frame_drop_and_answers_from_the_next_node() {
-    // Node 1 dies mid-frame: it reads the request, writes half a
-    // response line, and cuts the connection — the worst desync shape,
-    // because the client holds plausible-looking partial JSON. The
-    // failover client must discard that session entirely and get the
-    // correct verdict from node 2, never a garbled or paired-wrong
-    // answer.
-    let dying = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr1 = dying.local_addr().unwrap();
-    std::thread::spawn(move || {
-        while let Ok((mut stream, _)) = dying.accept() {
-            read_line(&mut stream);
-            stream
-                .write_all(&canned_response().as_bytes()[..40])
-                .unwrap();
-            drop(stream);
-        }
-    });
-    let healthy = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr2 = healthy.local_addr().unwrap();
-    std::thread::spawn(move || {
-        while let Ok((mut stream, _)) = healthy.accept() {
-            read_line(&mut stream);
-            stream
-                .write_all(format!("{}\n", canned_response()).as_bytes())
-                .unwrap();
-        }
-    });
-
-    let policy = RetryPolicy {
-        max_attempts: 4,
-        base: Duration::from_millis(5),
-        cap: Duration::from_millis(50),
-        budget: Duration::from_secs(5),
-        seed: 11,
-    };
-    let reply = TcpClient::verify_with_failover(
-        &[addr1, addr2],
-        Duration::from_secs(2),
-        &any_request(),
-        &policy,
-    )
-    .expect("the healthy node must answer");
-    assert_eq!(reply.outcome.verdict, Verdict::LimitReached);
-    assert_eq!(
-        reply.fingerprint.to_hex(),
-        "000000000000000000000000000000ab"
-    );
-}
-
-#[test]
-fn failover_migrates_away_from_a_draining_node() {
-    // Node 1 refuses with a typed `draining` reply — final for
-    // single-node retry, but with a second node available the request
-    // must migrate, not die.
-    let draining = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr1 = draining.local_addr().unwrap();
-    std::thread::spawn(move || {
-        while let Ok((mut stream, _)) = draining.accept() {
-            read_line(&mut stream);
-            stream
-                .write_all(b"{\"ok\":false,\"error\":\"draining\",\"kind\":\"draining\"}\n")
-                .unwrap();
-        }
-    });
-    let healthy = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr2 = healthy.local_addr().unwrap();
-    std::thread::spawn(move || {
-        while let Ok((mut stream, _)) = healthy.accept() {
-            read_line(&mut stream);
-            stream
-                .write_all(format!("{}\n", canned_response()).as_bytes())
-                .unwrap();
-        }
-    });
-
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        base: Duration::from_millis(5),
-        cap: Duration::from_millis(50),
-        budget: Duration::from_secs(5),
-        seed: 13,
-    };
-    let reply = TcpClient::verify_with_failover(
-        &[addr1, addr2],
-        Duration::from_secs(2),
-        &any_request(),
-        &policy,
-    )
-    .expect("drain must migrate to the healthy node");
-    assert_eq!(reply.outcome.verdict, Verdict::LimitReached);
-
-    // Single-address retry keeps the old contract: draining is final.
-    let err = TcpClient::verify_with_retry(addr1, Duration::from_secs(2), &any_request(), &policy)
-        .unwrap_err();
-    assert!(matches!(err, ClientError::Draining), "{err:?}");
-}
-
-#[test]
-fn failover_with_every_node_dead_yields_a_typed_error() {
-    // Two listeners that drop every connection; the failover client
-    // must give up with the real transport error on a bounded clock.
-    let mk = || {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap();
-        std::thread::spawn(move || {
-            while let Ok((stream, _)) = l.accept() {
-                drop(stream);
-            }
-        });
-        addr
-    };
-    let (addr1, addr2) = (mk(), mk());
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base: Duration::from_millis(5),
-        cap: Duration::from_millis(20),
-        budget: Duration::from_secs(2),
-        seed: 17,
-    };
-    let started = Instant::now();
-    let err = TcpClient::verify_with_failover(
-        &[addr1, addr2],
-        Duration::from_secs(1),
-        &any_request(),
-        &policy,
-    )
-    .unwrap_err();
-    assert!(matches!(err, ClientError::Io(_)), "{err:?}");
-    assert!(started.elapsed() < Duration::from_secs(5));
-}
-
-#[test]
 fn retry_hint_exceeding_the_budget_is_clamped_not_slept() {
     // A shedding server whose retry-after hint (30 s) dwarfs the
     // client's total sleep budget (300 ms). The old behaviour honoured
@@ -364,4 +233,30 @@ fn retry_gives_up_after_max_attempts_with_the_real_error() {
         .unwrap_err();
     assert!(matches!(err, ClientError::Io(_)), "{err:?}");
     assert!(started.elapsed() < Duration::from_secs(5));
+
+    // A typed `draining` refusal is final for single-address retry:
+    // the same server will refuse again until it restarts, so the
+    // client gives up after one connection instead of spending its
+    // attempts.
+    let draining = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = draining.local_addr().unwrap();
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&accepts);
+    std::thread::spawn(move || {
+        while let Ok((mut stream, _)) = draining.accept() {
+            seen.fetch_add(1, Ordering::SeqCst);
+            read_line(&mut stream);
+            stream
+                .write_all(b"{\"ok\":false,\"error\":\"draining\",\"kind\":\"draining\"}\n")
+                .unwrap();
+        }
+    });
+    let err = TcpClient::verify_with_retry(addr, Duration::from_secs(2), &any_request(), &policy)
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Draining), "{err:?}");
+    assert_eq!(
+        accepts.load(Ordering::SeqCst),
+        1,
+        "draining must not be retried"
+    );
 }

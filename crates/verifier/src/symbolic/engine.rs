@@ -451,35 +451,6 @@ pub fn verify_ltl(
     Ok(VerifyOutcome { verdict, stats })
 }
 
-/// Diagnostic: breadth-first exploration of the symbolic configuration
-/// graph (no automaton product), returning renders of the first `limit`
-/// configurations. Useful to understand where a search blows up.
-pub fn explore(service: &Service, property: &Property, limit: usize) -> Vec<String> {
-    let ctable = CTable::build(service, property);
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    let mut queue: std::collections::VecDeque<SymConfig> =
-        initial_configs(service, &ctable).into_iter().collect();
-    while let Some(c) = queue.pop_front() {
-        if !seen.insert(c.clone()) {
-            continue;
-        }
-        out.push(format!(
-            "{} | fresh={} facts={}",
-            c.render(&ctable),
-            c.n_fresh,
-            c.st.persistent_facts()
-        ));
-        if out.len() >= limit {
-            break;
-        }
-        for s in successors(service, &ctable, &c) {
-            queue.push_back(s);
-        }
-    }
-    out
-}
-
 /// Decides error-freeness (Theorem 3.5(i)): is the error page unreachable
 /// on every database and run? Implemented as layered breadth-first
 /// reachability over the symbolic configuration graph (no automaton

@@ -47,7 +47,7 @@ mod table;
 
 pub use config::SymConfig;
 pub use engine::{
-    buchi_key, explore, is_error_free, verify_ltl, CancelToken, SearchStats, SymbolicError,
-    SymbolicOptions, Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
+    buchi_key, is_error_free, verify_ltl, CancelToken, SearchStats, SymbolicError, SymbolicOptions,
+    Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
 };
 pub use table::{CTable, Sym};

@@ -285,11 +285,6 @@ impl SymState {
             self.local.insert((rel, renamed), v);
         }
     }
-
-    /// Number of persistent facts (for reporting).
-    pub fn persistent_facts(&self) -> usize {
-        self.facts.len()
-    }
 }
 
 fn ordered(a: CSym, b: CSym) -> (CSym, CSym) {
