@@ -76,6 +76,24 @@ impl Buchi {
         self.succ.iter().map(Vec::len).sum()
     }
 
+    /// True when acceptance is a reachability question: every successor
+    /// of an accepting state is accepting, and each accepting state has
+    /// an accepting successor with a [`Guard::top`] guard and a
+    /// self-loop. A run that reaches an accepting state is then accepted
+    /// whatever letters follow, which is what lets the symbolic search
+    /// prune subsumed configurations (DESIGN.md §3.1.3). The negation of
+    /// an invariant `G φ` with `φ` free of temporal operators (Fig. 2's
+    /// property is one) translates to this shape.
+    pub fn is_safety_shaped(&self) -> bool {
+        let top = Guard::top();
+        (0..self.len()).filter(|&q| self.accepting[q]).all(|q| {
+            self.succ[q].iter().all(|&r| self.accepting[r])
+                && self.succ[q]
+                    .iter()
+                    .any(|&r| self.guard[r] == top && self.succ[r].contains(&r))
+        })
+    }
+
     /// Whether the automaton accepts the lasso word `stem · lasso^ω`.
     ///
     /// Decided by nondeterministic simulation: track the set of automaton
@@ -179,6 +197,40 @@ mod tests {
         assert!(!a.accepts_lasso(&[], &[ps(&[])]));
         // p0 then never again
         assert!(!a.accepts_lasso(&[ps(&[0])], &[ps(&[])]));
+    }
+
+    #[test]
+    fn safety_shape_needs_a_closed_accepting_part_with_a_top_sink() {
+        // `F p0`'s shape: wait anywhere, see p0, then accept anything.
+        let eventually = Buchi {
+            guard: vec![
+                Guard::top(),
+                Guard {
+                    pos: ps(&[0]),
+                    neg: ps(&[]),
+                },
+                Guard::top(),
+            ],
+            succ: vec![vec![0, 1], vec![2], vec![2]],
+            initial: vec![0, 1],
+            accepting: vec![false, false, true],
+        };
+        assert!(eventually.is_safety_shaped());
+        // An accepting state that can leave the accepting part.
+        assert!(!gf_p0().is_safety_shaped());
+        // `G !p0`: closed, but its only self-loop is guarded.
+        let always_not = Buchi {
+            guard: vec![Guard {
+                pos: ps(&[]),
+                neg: ps(&[0]),
+            }],
+            succ: vec![vec![0]],
+            initial: vec![0],
+            accepting: vec![true],
+        };
+        assert!(!always_not.is_safety_shaped());
+        // No accepting state: vacuously safety-shaped.
+        assert!(Buchi::default().is_safety_shaped());
     }
 
     #[test]

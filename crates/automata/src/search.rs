@@ -45,6 +45,11 @@ pub struct SearchStats {
     pub peak_frontier: usize,
     /// Wall time of the verdict-producing search phase.
     pub search_wall: Duration,
+    /// Times a derived node was dropped because an admitted node with
+    /// the same control state assumed less about the database (store
+    /// subsumption; a node derived and dropped again counts again; zero
+    /// when pruning was off or did not apply).
+    pub pruned: u64,
     /// Rules removed by the cone-of-influence slicer before the search
     /// (zero when slicing was off, refused, or not applicable).
     pub sliced_rules: usize,
@@ -63,12 +68,13 @@ impl std::fmt::Display for SearchStats {
         write!(
             f,
             "interned {} (dedup {}), memoized {} (hits {}), peak frontier {}, \
-             sliced {} rules / {} relations, search {:?}{}",
+             pruned {}, sliced {} rules / {} relations, search {:?}{}",
             self.nodes_interned,
             self.dedup_hits,
             self.successors_memoized,
             self.memo_hits,
             self.peak_frontier,
+            self.pruned,
             self.sliced_rules,
             self.sliced_relations,
             self.search_wall,
@@ -199,9 +205,7 @@ where
             memo_hits: self.memo_hits,
             peak_frontier,
             search_wall: started.elapsed(),
-            sliced_rules: 0,
-            sliced_relations: 0,
-            incremental: false,
+            ..SearchStats::default()
         }
     }
 

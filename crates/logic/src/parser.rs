@@ -259,7 +259,10 @@ struct Parser<'a> {
     lx: Lexer<'a>,
     pos: usize,
     scope: Vec<Var>,
-    spans: SpanTable,
+    /// Where each FO atom, equality and quantifier came from; `None`
+    /// unless a `_spanned` entry point asked for it, so the plain
+    /// parsers never clone a subformula into a table.
+    spans: Option<SpanTable>,
     /// Levels currently open, bounded by [`MAX_NESTING`].
     depth: usize,
     /// Nodes copied by desugaring so far, bounded by
@@ -268,16 +271,25 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, free: &[&str]) -> Result<Self, ParseError> {
+    fn new(src: &'a str, free: &[&str], spanned: bool) -> Result<Self, ParseError> {
         let toks = lex(src)?;
         Ok(Parser {
             lx: Lexer { src, toks },
             pos: 0,
             scope: free.iter().map(|s| s.to_string()).collect(),
-            spans: SpanTable::new(),
+            spans: spanned.then(SpanTable::new),
             depth: 0,
             copied: 0,
         })
+    }
+
+    /// Records `f` as spanning from `start` to the end of the last
+    /// consumed token, when spans are being recorded.
+    fn record(&mut self, f: &Formula, start: usize) {
+        let end = self.prev_end();
+        if let Some(spans) = &mut self.spans {
+            spans.record(f, Span::new(start, end));
+        }
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -455,7 +467,7 @@ impl<'a> Parser<'a> {
                 } else {
                     Formula::forall(vars, fo)
                 };
-                self.spans.record(&q, Span::new(start, self.prev_end()));
+                self.record(&q, start);
                 Ok(TFormula::Fo(q))
             }
             _ => self.parse_primary(),
@@ -503,7 +515,7 @@ impl<'a> Parser<'a> {
                         }
                         self.expect(&Tok::RParen, "`)` after atom arguments")?;
                         let f = Formula::rel(id, args);
-                        self.spans.record(&f, Span::new(start, self.prev_end()));
+                        self.record(&f, start);
                         Ok(TFormula::Fo(f))
                     }
                     Some(Tok::Eq) | Some(Tok::Neq) => {
@@ -516,13 +528,13 @@ impl<'a> Parser<'a> {
                         } else {
                             Formula::eq(lhs, rhs)
                         };
-                        self.spans.record(&f, Span::new(start, self.prev_end()));
+                        self.record(&f, start);
                         Ok(TFormula::Fo(f))
                     }
                     _ => {
                         self.bump();
                         let f = Formula::prop(id);
-                        self.spans.record(&f, Span::new(start, self.prev_end()));
+                        self.record(&f, start);
                         Ok(TFormula::Fo(f))
                     }
                 }
@@ -543,7 +555,7 @@ impl<'a> Parser<'a> {
                 } else {
                     Formula::eq(lhs, rhs)
                 };
-                self.spans.record(&f, Span::new(start, self.prev_end()));
+                self.record(&f, start);
                 Ok(TFormula::Fo(f))
             }
             other => Err(self.err(format!("unexpected token {other:?}"))),
@@ -621,14 +633,22 @@ fn timplies(a: TFormula, b: TFormula) -> TFormula {
 /// Parses a pure FO formula. Identifiers in `free` (plus quantified names)
 /// are variables; all other identifiers in term position are constants.
 pub fn parse_fo(src: &str, free: &[&str]) -> Result<Formula, ParseError> {
-    parse_fo_spanned(src, free).map(|(f, _)| f)
+    parse_fo_with(src, free, false).map(|(f, _)| f)
 }
 
 /// Like [`parse_fo`], but also returns the [`SpanTable`] mapping each
 /// atom, equality and quantifier to its byte range in `src`, plus the
 /// whole formula to the full token range.
 pub fn parse_fo_spanned(src: &str, free: &[&str]) -> Result<(Formula, SpanTable), ParseError> {
-    let mut p = Parser::new(src, free)?;
+    parse_fo_with(src, free, true).map(|(f, spans)| (f, spans.unwrap_or_default()))
+}
+
+fn parse_fo_with(
+    src: &str,
+    free: &[&str],
+    spanned: bool,
+) -> Result<(Formula, Option<SpanTable>), ParseError> {
+    let mut p = Parser::new(src, free, spanned)?;
     let f = p.parse_temporal()?;
     if p.pos != p.lx.toks.len() {
         return Err(p.err("trailing input".into()));
@@ -642,13 +662,15 @@ pub fn parse_fo_spanned(src: &str, free: &[&str]) -> Result<(Formula, SpanTable)
         )
     })?;
     let mut spans = p.spans;
-    spans.record(&g, full);
+    if let Some(spans) = &mut spans {
+        spans.record(&g, full);
+    }
     Ok((g, spans))
 }
 
 /// Parses a temporal (LTL-FO / CTL(\*)-FO) formula.
 pub fn parse_temporal(src: &str, free: &[&str]) -> Result<TFormula, ParseError> {
-    parse_temporal_spanned(src, free).map(|(f, _)| f)
+    parse_temporal_with(src, free, false).map(|(f, _)| f)
 }
 
 /// Like [`parse_temporal`], but also returns the [`SpanTable`] of the
@@ -657,7 +679,15 @@ pub fn parse_temporal_spanned(
     src: &str,
     free: &[&str],
 ) -> Result<(TFormula, SpanTable), ParseError> {
-    let mut p = Parser::new(src, free)?;
+    parse_temporal_with(src, free, true).map(|(f, spans)| (f, spans.unwrap_or_default()))
+}
+
+fn parse_temporal_with(
+    src: &str,
+    free: &[&str],
+    spanned: bool,
+) -> Result<(TFormula, Option<SpanTable>), ParseError> {
+    let mut p = Parser::new(src, free, spanned)?;
     let f = p.parse_temporal()?;
     if p.pos != p.lx.toks.len() {
         return Err(p.err("trailing input".into()));
@@ -919,6 +949,37 @@ mod tests {
         assert_eq!(q.snippet(src), src);
         // the top-level formula is recorded too
         assert_eq!(spans.span_of(&f), Some(q));
+    }
+
+    #[test]
+    fn spanned_and_plain_parsers_return_equal_formulas() {
+        for (src, free) in [
+            ("exists x . (I(x) & x != min)", &[][..]),
+            (
+                "user(name, password) & button(\"login\") | x = 42",
+                &["x"][..],
+            ),
+        ] {
+            assert_eq!(
+                parse_fo(src, free).unwrap(),
+                parse_fo_spanned(src, free).unwrap().0
+            );
+        }
+        for (src, free) in [
+            ("G (pick(x) -> F ship(x))", &["x"][..]),
+            ("paid B (exists y . ship(y)) & X (COP <-> !HP)", &[][..]),
+            ("A G (E F HP)", &[][..]),
+        ] {
+            assert_eq!(
+                parse_temporal(src, free).unwrap(),
+                parse_temporal_spanned(src, free).unwrap().0
+            );
+        }
+        // And errors agree too.
+        assert_eq!(
+            parse_temporal("G (p(%))", &[]).unwrap_err(),
+            parse_temporal_spanned("G (p(%))", &[]).unwrap_err()
+        );
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   certified-reduction claim (DESIGN.md §12) demanded on every
 //!   generated case. Counterexamples are replayed against the **full**
 //!   service regardless (the enumerative sweep below never slices).
+//! * **pruned vs unpruned**: store subsumption (DESIGN.md §3.1.3) is on
+//!   by default, so the base run prunes where it applies; a run that
+//!   dropped anything is re-verified with `prune: false`. Conclusive
+//!   unpruned verdicts must agree in kind, and a pruned lasso must
+//!   replay through the unpruned product
+//!   ([`wave_verifier::symbolic::lasso_replays`]).
 //! * **metamorphic permutations**: shuffling rules, declarations, pages
 //!   and database facts must keep the service's canonical
 //!   [`Fingerprint`](wave_logic::fingerprint::Fingerprint) *and* the
@@ -45,7 +51,7 @@ use wave_verifier::dbgen;
 use wave_verifier::enumerative::{verify_ltl_on_db, EnumOptions, EnumOutcome};
 use wave_verifier::precheck::precheck;
 use wave_verifier::replay::replay_outcome;
-use wave_verifier::symbolic::{verify_ltl, SymbolicOptions, Verdict};
+use wave_verifier::symbolic::{lasso_replays, verify_ltl, SymbolicOptions, Verdict};
 
 use crate::spec::{rename_idents, ServiceSpec};
 
@@ -101,6 +107,9 @@ pub enum FlawKind {
     ReplayFailed,
     /// Cone-of-influence slicing changed a symbolic verdict.
     SliceDivergence,
+    /// Store subsumption changed a symbolic verdict kind, or a pruned
+    /// search reported a lasso the unpruned product does not contain.
+    SubsumptionDivergence,
     /// A warm engine's digest-keyed incremental answer differed from a
     /// cold run of the edited service (or a no-op edit searched at all).
     IncrementalDivergence,
@@ -133,6 +142,9 @@ pub struct CaseReport {
     /// True when any engine hit a budget — comparisons involving it are
     /// skipped, not failed.
     pub inconclusive: bool,
+    /// The base symbolic run's `SearchStats::pruned` (the unpruned leg
+    /// runs only when this is nonzero).
+    pub pruned: u64,
     /// Everything that tripped.
     pub flaws: Vec<Flaw>,
 }
@@ -226,6 +238,7 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         enum_violations: 0,
         replays: 0,
         inconclusive: false,
+        pruned: 0,
         flaws: Vec::new(),
     };
     let flaw = |report: &mut CaseReport, kind: FlawKind, detail: String| {
@@ -279,6 +292,7 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         }
     };
     report.sym = kind(&base.verdict).to_string();
+    report.pruned = base.stats.pruned;
     if !conclusive(&base.verdict) {
         report.inconclusive = true;
     }
@@ -318,6 +332,52 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
             FlawKind::EngineError,
             format!("slice off: {e}"),
         ),
+    }
+
+    // Pruned vs unpruned: store subsumption (DESIGN.md §3.1.3) is on by
+    // default, so the base run pruned wherever it applies. Only a run
+    // that dropped something is re-run with `prune: false`, which keeps
+    // the campaign's cost flat. The kinds must agree whenever the
+    // unpruned side is conclusive; pruning only shrinks the search, so
+    // an unpruned `LimitReached` may become conclusive. A pruned lasso
+    // must also replay through the unpruned product, which it is a path
+    // of by construction.
+    if base.stats.pruned > 0 {
+        let unpruned_opts = SymbolicOptions {
+            prune: false,
+            ..sym_opts.clone()
+        };
+        match verify_ltl(&service, &property, &unpruned_opts) {
+            Ok(full) if conclusive(&full.verdict) && kind(&full.verdict) != kind(&base.verdict) => {
+                flaw(
+                    &mut report,
+                    FlawKind::SubsumptionDivergence,
+                    format!(
+                        "pruned verdict {} vs unpruned {} ({} nodes pruned)",
+                        kind(&base.verdict),
+                        kind(&full.verdict),
+                        base.stats.pruned
+                    ),
+                );
+            }
+            Ok(_) => {}
+            Err(e) => flaw(
+                &mut report,
+                FlawKind::EngineError,
+                format!("prune off: {e}"),
+            ),
+        }
+        if let Verdict::Violated { stem, cycle } = &base.verdict {
+            match lasso_replays(&service, &property, &unpruned_opts, stem, cycle) {
+                Ok(true) => {}
+                Ok(false) => flaw(
+                    &mut report,
+                    FlawKind::SubsumptionDivergence,
+                    "the pruned lasso does not replay through the unpruned product".into(),
+                ),
+                Err(e) => flaw(&mut report, FlawKind::EngineError, format!("replay: {e}")),
+            }
+        }
     }
 
     // Permutation metamorphosis: same fingerprint, same verdict kind.
@@ -612,6 +672,35 @@ mod tests {
     /// A spec with deliberate dead logic — an unreachable page writing a
     /// state prop nothing reads — must slice (the base run drops rules)
     /// and still come back clean: the slice-off leg agrees in kind.
+    #[test]
+    fn pruning_keeps_error_freeness_verdicts_on_generated_services() {
+        // The demo sites have no subsumed configuration, so the
+        // generated services are where `is_error_free` actually prunes.
+        use wave_verifier::symbolic::is_error_free;
+        let mut fired = 0;
+        for seed in 0..100 {
+            let (service, _) = generate(seed).spec.build().unwrap();
+            let on = SymbolicOptions {
+                node_limit: 20_000,
+                ..SymbolicOptions::default()
+            };
+            let off = SymbolicOptions {
+                prune: false,
+                ..on.clone()
+            };
+            let pruned = is_error_free(&service, &on).unwrap();
+            let full = is_error_free(&service, &off).unwrap();
+            assert_eq!(
+                kind(&pruned.verdict),
+                kind(&full.verdict),
+                "seed {seed}: {pruned:?} vs {full:?}"
+            );
+            assert!(pruned.stats.nodes_interned <= full.stats.nodes_interned);
+            fired += usize::from(pruned.stats.pruned > 0);
+        }
+        assert!(fired > 10, "pruning fired on only {fired} of 100 services");
+    }
+
     #[test]
     fn dead_logic_case_slices_and_stays_clean() {
         let mut spec = toggle_spec();

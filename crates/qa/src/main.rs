@@ -144,6 +144,7 @@ fn main() -> ExitCode {
     let mut inconclusive = 0u64;
     let mut enum_violations = 0u64;
     let mut replays = 0u64;
+    let mut pruned = 0u64;
     let mut flawed: Vec<u64> = Vec::new();
     let mut out_of_budget = false;
 
@@ -164,6 +165,7 @@ fn main() -> ExitCode {
         }
         enum_violations += report.enum_violations as u64;
         replays += report.replays as u64;
+        pruned += u64::from(report.pruned > 0);
         if !report.clean() {
             flawed.push(seed);
             eprintln!("== seed {seed}: {} flaw(s) ==", report.flaws.len());
@@ -188,14 +190,15 @@ fn main() -> ExitCode {
         println!(
             "{{\"cases\": {cases}, \"sym_holds\": {holds}, \"sym_violated\": {violated}, \
              \"inconclusive\": {inconclusive}, \"enum_violations\": {enum_violations}, \
-             \"replayed\": {replays}, \"flawed_seeds\": {flawed:?}, \
+             \"replayed\": {replays}, \"pruned_cases\": {pruned}, \
+             \"flawed_seeds\": {flawed:?}, \
              \"out_of_budget\": {out_of_budget}, \"elapsed_s\": {elapsed:.3}}}"
         );
     } else {
         println!(
             "wave-qa: {cases} case(s), {holds} hold / {violated} violated / {inconclusive} \
              inconclusive; {enum_violations} counterexample(s), {replays} replayed; \
-             {} flaw(s); {elapsed:.1}s{}",
+             {pruned} pruned; {} flaw(s); {elapsed:.1}s{}",
             flawed.len(),
             if out_of_budget { " (budget hit)" } else { "" }
         );

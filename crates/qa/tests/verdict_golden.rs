@@ -2,10 +2,11 @@
 //!
 //! Records, for a fixed set of (service, property) pairs, the exact
 //! `Debug` bytes of the verdict (lassos included) and the deterministic
-//! search counters `nodes_interned`,
-//! `dedup_hits` and `successors_memoized`. Any change to the search's
-//! representation that alters exploration order, deduplication or
-//! rendering shows up here as a diff against the checked-in fixture.
+//! search counters `nodes_interned`, `dedup_hits`,
+//! `successors_memoized` and `pruned`. Any change to the search's
+//! representation that alters exploration order, deduplication, store
+//! subsumption or rendering shows up here as a diff against the
+//! checked-in fixture.
 //!
 //! The cases: the Fig. 2 payment-safety property and three violated
 //! properties on `checkout_bench` (two of them also unsliced), the
@@ -32,8 +33,9 @@ const QA_NODE_LIMIT: usize = 300_000;
 fn record(out: &mut String, name: &str, outcome: &VerifyOutcome) {
     let s = &outcome.stats;
     out.push_str(&format!(
-        "case {name}\nverdict {:?}\nstats nodes_interned={} dedup_hits={} successors_memoized={}\n",
-        outcome.verdict, s.nodes_interned, s.dedup_hits, s.successors_memoized
+        "case {name}\nverdict {:?}\nstats nodes_interned={} dedup_hits={} successors_memoized={} \
+         pruned={}\n",
+        outcome.verdict, s.nodes_interned, s.dedup_hits, s.successors_memoized, s.pruned
     ));
 }
 

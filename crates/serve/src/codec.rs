@@ -290,6 +290,7 @@ pub fn stats_to_json(s: &SearchStats) -> Json {
         ),
         ("memo_hits".into(), Json::Int(s.memo_hits as i64)),
         ("peak_frontier".into(), Json::Int(s.peak_frontier as i64)),
+        ("pruned".into(), Json::Int(s.pruned as i64)),
         ("sliced_rules".into(), Json::Int(s.sliced_rules as i64)),
         (
             "sliced_relations".into(),
@@ -319,6 +320,8 @@ pub fn stats_from_json(v: &Json) -> Result<SearchStats, DecodeError> {
         sliced_rules: int("sliced_rules")? as usize,
         sliced_relations: int("sliced_relations")? as usize,
         search_wall: us_to_duration(int("search_wall_us")?),
+        // Absent from lines written before store subsumption existed.
+        pruned: v.get("pruned").and_then(Json::as_int).unwrap_or(0) as u64,
         incremental: v
             .get("incremental")
             .and_then(Json::as_bool)
@@ -418,6 +421,7 @@ mod tests {
             successors_memoized: 10,
             memo_hits: 7,
             peak_frontier: 4,
+            pruned: 5,
             sliced_rules: 2,
             sliced_relations: 1,
             search_wall: Duration::from_micros(987_654),
@@ -482,6 +486,23 @@ mod tests {
         let new = outcome_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(old.stats, new.stats);
         assert_eq!(old, *o);
+    }
+
+    #[test]
+    fn stats_written_before_the_pruned_counter_decode_it_as_zero() {
+        let o = &sample_outcomes()[0];
+        let text = outcome_to_json(o).encode();
+        let old = text.replace("\"pruned\":5,", "");
+        assert_ne!(old, text, "the key must actually be cut out");
+        let back = outcome_from_json(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!(back.stats.pruned, 0);
+        assert_eq!(
+            back.stats,
+            SearchStats {
+                pruned: 0,
+                ..o.stats.clone()
+            }
+        );
     }
 
     #[test]

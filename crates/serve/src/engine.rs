@@ -389,12 +389,13 @@ pub fn request_fingerprint(
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v4: cache hits replay without re-running admission, so the domain
-    // carries the admission rules' version — content admitted under
-    // other rules is never replayed. (v3 added the `incremental` stats
-    // flag, v2 sliced_rules/sliced_relations: bytes persisted under
-    // earlier schemes no longer decode.)
-    h.write_str("wave-serve/fp/v4");
+    // v5: store subsumption changed the search's counters and
+    // `Holds { explored }` (and added the `pruned` stats key), so bytes
+    // stored under v4 differ from what a fresh run answers. (v4 put the
+    // admission rules' version in the domain, because cache hits replay
+    // without re-running admission; v3 added the `incremental` stats
+    // flag, v2 sliced_rules/sliced_relations.)
+    h.write_str("wave-serve/fp/v5");
     h.write_u64(u64::from(ADMISSION_VERSION));
     service.canon(&mut h);
     match mode {
@@ -1280,28 +1281,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_keyed_under_the_v3_domain_are_not_replayed() {
-        // The v3 scheme: no admission version in the domain.
-        let v3 = |service: &Service, property: &Property| {
-            let mut h = Fnv128::new();
-            h.write_str("wave-serve/fp/v3");
-            service.canon(&mut h);
-            h.write_u8(0x01);
-            property.canon(&mut h);
-            h.write_len(SymbolicOptions::default().normalized().node_limit);
-            Fingerprint(h.finish())
-        };
+    /// Journals a record for the toggle's `G (P | Q)` under the key an
+    /// earlier fingerprint scheme gave it, and checks that a fresh engine
+    /// loads it but never replays it.
+    fn assert_old_scheme_is_not_replayed(
+        tag: &str,
+        old_key: &dyn Fn(&Service, &Property) -> Fingerprint,
+    ) {
         let r = req("toggle", "G (P | Q)");
         let service = registry::resolve("toggle").unwrap();
         let property = parse_property(&r.property).unwrap();
-        let old = v3(&service, &property);
+        let old = old_key(&service, &property);
         let bytes = Engine::new(EngineOptions::default())
             .submit(&r)
             .unwrap()
             .outcome_bytes;
 
-        let dir = std::env::temp_dir().join(format!("wave-engine-v3-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("wave-engine-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("cache.ndjson");
         std::fs::write(
@@ -1314,9 +1310,9 @@ mod tests {
             ..EngineOptions::default()
         });
         let (_, _, recovered, dropped, _) = e.journal_stats();
-        assert_eq!((recovered, dropped), (1, 0), "the v3 record loads");
+        assert_eq!((recovered, dropped), (1, 0), "the {tag} record loads");
         let reply = e.submit(&r).unwrap();
-        assert!(!reply.cache_hit, "a v3-keyed record must not replay");
+        assert!(!reply.cache_hit, "a {tag}-keyed record must not replay");
         assert!(!reply.incremental);
         assert_ne!(reply.fingerprint, old);
         assert_eq!(e.counters.cache_misses.load(Ordering::Relaxed), 1);
@@ -1327,6 +1323,36 @@ mod tests {
         );
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_keyed_under_the_v3_domain_are_not_replayed() {
+        // The v3 scheme: no admission version in the domain.
+        assert_old_scheme_is_not_replayed("v3", &|service, property| {
+            let mut h = Fnv128::new();
+            h.write_str("wave-serve/fp/v3");
+            service.canon(&mut h);
+            h.write_u8(0x01);
+            property.canon(&mut h);
+            h.write_len(SymbolicOptions::default().normalized().node_limit);
+            Fingerprint(h.finish())
+        });
+    }
+
+    #[test]
+    fn records_keyed_under_the_v4_domain_are_not_replayed() {
+        // The v4 scheme: counters and `explored` from before store
+        // subsumption.
+        assert_old_scheme_is_not_replayed("v4", &|service, property| {
+            let mut h = Fnv128::new();
+            h.write_str("wave-serve/fp/v4");
+            h.write_u64(u64::from(ADMISSION_VERSION));
+            service.canon(&mut h);
+            h.write_u8(0x01);
+            property.canon(&mut h);
+            h.write_len(SymbolicOptions::default().normalized().node_limit);
+            Fingerprint(h.finish())
+        });
     }
 
     #[test]

@@ -78,11 +78,13 @@ pub fn verdict_tier_key(sliced: &Service, property: &Property, node_limit: usize
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v1: verdict wire encoding as of wave-serve/fp/v3 (fp/v4 only
-    // added the admission version; the tier is probed after admission,
-    // so it needs none). Bump when either the slicer or the verdict
-    // codec changes canonical form.
-    h.write_str("wave-inc/verdict/v1");
+    // v2: store subsumption changed `Holds { explored }` and the lassos
+    // a fresh search reports, so v1 bytes are not what a run answers
+    // now. (v1 was the verdict wire encoding as of wave-serve/fp/v3;
+    // the tier is probed after admission, so fp/v4's admission version
+    // never mattered to it.) Bump when the slicer, the verdict codec or
+    // the search changes the verdict bytes for a key.
+    h.write_str("wave-inc/verdict/v2");
     sliced.canon(&mut h);
     property.canon(&mut h);
     h.write_len(normalized.node_limit);

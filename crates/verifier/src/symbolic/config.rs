@@ -6,6 +6,7 @@
 //! `C`, and carrying the accumulated database knowledge ([`SymState`]).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::Arc;
 
 use super::bits::CBits;
@@ -121,6 +122,37 @@ impl SymConfig {
             }
         }
         Some(self)
+    }
+
+    /// The projection: every field except the knowledge store's literals
+    /// (the page, `err_pending`, `n_fresh`, provided constants, the
+    /// equality partition, inputs, state, action and `prev`). Cheap
+    /// fields come first, so comparing two projections stops early.
+    fn projection(&self) -> impl Eq + Hash + '_ {
+        (
+            self.page,
+            self.err_pending,
+            self.n_fresh,
+            &self.provided,
+            self.st.partition(),
+            &self.inputs,
+            &self.state,
+            &self.action,
+            &self.prev,
+        )
+    }
+
+    /// A hash of the projection: configurations with the same projection
+    /// hash equal.
+    pub(crate) fn projection_hash(&self) -> u64 {
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(self.projection())
+    }
+
+    /// True when `self` has the same projection as `other` and its store
+    /// is weaker (`SymState::weaker_than`): `self` then simulates
+    /// `other`, letter for letter (DESIGN.md §3.1.3).
+    pub fn weaker_than(&self, other: &SymConfig) -> bool {
+        self.projection() == other.projection() && self.st.weaker_than(&other.st)
     }
 
     /// Whether an input constant has been provided, by *any* symbol of its

@@ -38,18 +38,35 @@
 //! ids. Inside successor generation the knowledge store and the state,
 //! action and `prev` sets are shared copy-on-write (see [`SymConfig`]),
 //! so a fork in page entry copies only the current inputs.
+//!
+//! # Store subsumption
+//!
+//! A configuration that assumes more about the database than an admitted
+//! one with the same projection (everything but the store's literals)
+//! has a subset of its concrete runs, so where the question is
+//! reachability it is dropped (DESIGN.md §3.1.3). [`is_error_free`]
+//! keeps one antichain of admitted configurations per projection.
+//! [`verify_ltl`] keeps one per projection and Büchi state, and only when
+//! the negated automaton is safety-shaped: there, a node entering an
+//! accepting state is never dropped, and a dropped edge is never
+//! redirected, so the nested DFS walks a fixed subgraph of the product
+//! in which every lasso is real and which has a lasso whenever the
+//! product does. [`lasso_replays`] checks a reported lasso against the
+//! unpruned product.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 use wave_core::classify;
 use wave_core::service::Service;
+use wave_core::slice::SliceResult;
 use wave_logic::bounded::BoundedError;
 use wave_logic::schema::ConstKind;
 use wave_logic::temporal::{Property, TemporalClass};
 
+use wave_automata::buchi::Buchi;
 pub use wave_automata::cancel::CancelToken;
 use wave_automata::interner::Interner;
 use wave_automata::ltl2buchi::{translate_within, TranslateError};
@@ -62,6 +79,7 @@ use crate::abstraction::{to_pnf, FoAbstraction};
 use super::config::SymConfig;
 use super::eval::{eval_branching, Ctx};
 use super::step::{initial_configs, successors};
+use super::subsume::Antichains;
 use super::table::{CSym, CTable, Sym};
 
 /// The node budget used when a caller passes the degenerate
@@ -93,6 +111,16 @@ pub struct SymbolicOptions {
     /// refuses by itself where its argument does not apply, so disabling
     /// this is only useful for differential testing.
     pub slice: bool,
+    /// Prune subsumed configurations (DESIGN.md §3.1.3): a derived
+    /// configuration is dropped when an admitted one with the same
+    /// control state assumes less about the database. Verdict-kind
+    /// preserving (enforced by wave-qa's `SubsumptionDivergence` leg);
+    /// on by default. [`verify_ltl`] prunes only when the negated
+    /// property's automaton is safety-shaped
+    /// ([`wave_automata::buchi::Buchi::is_safety_shaped`]), and
+    /// [`is_error_free`] always, so disabling this is only useful for
+    /// differential testing.
+    pub prune: bool,
     /// Shared LTL→Büchi translation cache: when set, [`verify_ltl`]
     /// looks the negated property's automaton up by the property's
     /// canonical fingerprint before running the GPVW translation, and
@@ -112,6 +140,7 @@ impl Default for SymbolicOptions {
             threads: 1,
             cancel: CancelToken::never(),
             slice: true,
+            prune: true,
             automata: None,
         }
     }
@@ -234,14 +263,23 @@ pub fn buchi_key(property: &Property) -> u128 {
     h.finish()
 }
 
-/// Verifies an input-bounded LTL-FO property on an input-bounded service,
-/// over **all** databases and runs (Theorem 3.5).
-pub fn verify_ltl(
+/// What [`verify_ltl`] and [`lasso_replays`] build before the product.
+struct Prepared {
+    /// The cone-of-influence slice, when slicing is on.
+    sliced: Option<SliceResult>,
+    /// The property's FO components.
+    table: FoAbstraction,
+    /// ¬φ's Büchi automaton, or the verdict to report when the tableau
+    /// was refused (budget or cancellation).
+    aut: Result<Arc<Buchi>, Verdict>,
+}
+
+/// Admission, slicing and the LTL→Büchi translation.
+fn prepare(
     service: &Service,
     property: &Property,
     opts: &SymbolicOptions,
-) -> Result<VerifyOutcome, SymbolicError> {
-    let opts = opts.normalized();
+) -> Result<Prepared, SymbolicError> {
     if property.classify() != TemporalClass::Ltl {
         return Err(SymbolicError::NotLtl);
     }
@@ -259,19 +297,9 @@ pub fn verify_ltl(
     // violations, so the sliced service stays admitted. The slicer
     // refuses (identity slice) wherever its soundness argument does not
     // apply — see `wave_core::slice` and DESIGN.md §12.
-    let sliced = if opts.slice {
-        Some(wave_core::slice::slice(service, property))
-    } else {
-        None
-    };
-    let (service, sliced_rules, sliced_relations) = match &sliced {
-        Some(r) => (
-            &r.service,
-            r.report.sliced_rules(),
-            r.report.sliced_relations(),
-        ),
-        None => (service, 0, 0),
-    };
+    let sliced = opts
+        .slice
+        .then(|| wave_core::slice::slice(service, property));
 
     // ¬φ as a Büchi automaton over FO components. The abstraction table
     // and the PNF are pure functions of the property — never the
@@ -288,72 +316,91 @@ pub fn verify_ltl(
         }
         None => translate_within(&pnf, &opts.cancel).map(Arc::new),
     };
-    let aut = match translated {
-        Ok(aut) => aut,
-        Err(e) => {
-            let verdict = if e == TranslateError::Cancelled || opts.cancel.is_cancelled() {
-                Verdict::Cancelled
-            } else {
-                Verdict::LimitReached
-            };
-            let stats = SearchStats {
-                sliced_rules,
-                sliced_relations,
-                ..SearchStats::default()
-            };
-            return Ok(VerifyOutcome { verdict, stats });
+    let aut = translated.map_err(|e| {
+        if e == TranslateError::Cancelled || opts.cancel.is_cancelled() {
+            Verdict::Cancelled
+        } else {
+            Verdict::LimitReached
         }
-    };
+    });
+    Ok(Prepared { sliced, table, aut })
+}
 
-    let ctable = CTable::build(service, property);
-    // Witness environment: each universally quantified variable maps to
-    // its Skolem symbol in C.
-    let env: BTreeMap<String, Sym> = property
-        .vars
-        .iter()
-        .map(|v| {
-            (
-                v.clone(),
-                Sym::C(ctable.witness_sym(v).expect("witnesses are in C")),
-            )
-        })
-        .collect();
-    let ctx = Ctx {
-        service,
-        table: &ctable,
-        ephemeral: Vec::new(),
-    };
+/// The product the search walks: symbolic configurations of the
+/// (sliced) service, each with the letter of the property's FO
+/// components it satisfies, paired with the states of ¬φ's Büchi
+/// automaton.
+struct Product<'s> {
+    service: &'s Service,
+    ctable: CTable,
+    table: FoAbstraction,
+    aut: Arc<Buchi>,
+    /// Witness environment: each universally quantified variable maps
+    /// to its Skolem symbol in C.
+    env: BTreeMap<String, Sym>,
+    /// The input constants each FO component mentions (`None`: missing
+    /// from `C`, so never provided).
+    comp_inputs: Vec<Vec<Option<CSym>>>,
+}
 
-    // The input constants each FO component mentions (`None`: missing
-    // from `C`, so never provided).
-    let comp_inputs: Vec<Vec<Option<CSym>>> = table
-        .components
-        .iter()
-        .map(|comp| {
-            comp.constants_used()
-                .iter()
-                .filter(|c| service.schema.constant(c) == Some(ConstKind::Input))
-                .map(|c| ctable.const_sym(c))
-                .collect()
-        })
-        .collect();
+impl<'s> Product<'s> {
+    fn new(
+        service: &'s Service,
+        property: &Property,
+        table: FoAbstraction,
+        aut: Arc<Buchi>,
+    ) -> Product<'s> {
+        let ctable = CTable::build(service, property);
+        let env = property
+            .vars
+            .iter()
+            .map(|v| {
+                let witness = ctable.witness_sym(v).expect("witnesses are in C");
+                (v.clone(), Sym::C(witness))
+            })
+            .collect();
+        let comp_inputs = table
+            .components
+            .iter()
+            .map(|comp| {
+                comp.constants_used()
+                    .iter()
+                    .filter(|c| service.schema.constant(c) == Some(ConstKind::Input))
+                    .map(|c| ctable.const_sym(c))
+                    .collect()
+            })
+            .collect();
+        Product {
+            service,
+            ctable,
+            table,
+            aut,
+            env,
+            comp_inputs,
+        }
+    }
 
-    // Letter evaluation with branching: every branch yields a (config,
-    // letter) pair. A component mentioning an unprovided input constant is
-    // not satisfied (Definition 3.1's satisfaction condition).
-    let letters = |cfg: SymConfig| -> Vec<(SymConfig, PropSet)> {
+    /// Letter evaluation with branching: every branch yields a (config,
+    /// letter) pair. A component mentioning an unprovided input constant
+    /// is not satisfied (Definition 3.1's satisfaction condition).
+    fn letters(&self, cfg: SymConfig) -> Vec<(SymConfig, PropSet)> {
+        let ctx = Ctx {
+            service: self.service,
+            table: &self.ctable,
+            ephemeral: Vec::new(),
+        };
         let mut acc: Vec<(SymConfig, PropSet)> = vec![(cfg, PropSet::new())];
-        for (i, comp) in table.components.iter().enumerate() {
+        for (i, comp) in self.table.components.iter().enumerate() {
             let mut next = Vec::new();
             for (c, letter) in acc {
-                let mentions_unprovided = comp_inputs[i]
+                let mentions_unprovided = self.comp_inputs[i]
                     .iter()
                     .any(|s| s.is_none_or(|s| !c.is_provided(s)));
                 if mentions_unprovided {
                     next.push((c, letter));
                     continue;
                 }
-                let (evals, unprov) = eval_branching(&ctx, c, &env, comp);
+                let (evals, unprov) = eval_branching(&ctx, c, &self.env, comp);
                 debug_assert!(!unprov, "provision pre-checked");
                 for (c2, v) in evals {
                     let mut l2 = letter.clone();
@@ -366,7 +413,69 @@ pub fn verify_ltl(
             acc = next;
         }
         acc
+    }
+
+    /// The initial configurations, letter-annotated.
+    fn initial(&self) -> impl Iterator<Item = (SymConfig, PropSet)> + '_ {
+        initial_configs(self.service, &self.ctable)
+            .into_iter()
+            .flat_map(|c| self.letters(c))
+    }
+
+    /// The successors of `cfg`, letter-annotated: the expensive half of
+    /// product successor generation, shared by every Büchi state. Lazy,
+    /// so a caller interning them drops each duplicate as it comes.
+    fn successors(&self, cfg: &SymConfig) -> impl Iterator<Item = (SymConfig, PropSet)> + '_ {
+        successors(self.service, &self.ctable, cfg)
+            .into_iter()
+            .flat_map(|c| self.letters(c))
+    }
+
+    /// The Büchi states a configuration with `letter` can pair with
+    /// when the automaton moves on from `from` (`None`: the initial
+    /// states).
+    fn moves<'a>(
+        &'a self,
+        from: Option<usize>,
+        letter: &'a PropSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let states = match from {
+            Some(q) => &self.aut.succ[q],
+            None => &self.aut.initial,
+        };
+        states
+            .iter()
+            .copied()
+            .filter(move |&q| self.aut.guard[q].accepts(letter))
+    }
+}
+
+/// Verifies an input-bounded LTL-FO property on an input-bounded service,
+/// over **all** databases and runs (Theorem 3.5).
+pub fn verify_ltl(
+    service: &Service,
+    property: &Property,
+    opts: &SymbolicOptions,
+) -> Result<VerifyOutcome, SymbolicError> {
+    let opts = opts.normalized();
+    let Prepared { sliced, table, aut } = prepare(service, property, &opts)?;
+    let (sliced_rules, sliced_relations) = sliced.as_ref().map_or((0, 0), |r| {
+        (r.report.sliced_rules(), r.report.sliced_relations())
+    });
+    let aut = match aut {
+        Ok(aut) => aut,
+        Err(verdict) => {
+            let stats = SearchStats {
+                sliced_rules,
+                sliced_relations,
+                ..SearchStats::default()
+            };
+            return Ok(VerifyOutcome { verdict, stats });
+        }
     };
+    let service = sliced.as_ref().map_or(service, |r| &r.service);
+    let product = Product::new(service, property, table, aut);
+    let aut = &*product.aut;
 
     // The configuration table: every derived configuration (initial, or a
     // successor after letter branching) is interned here to a dense id in
@@ -374,15 +483,26 @@ pub fn verify_ltl(
     // and a duplicate is dropped as soon as it is derived.
     let mut configs: Interner<Arc<SymConfig>> = Interner::new();
 
+    // Store subsumption, only where acceptance is a reachability
+    // question (DESIGN.md §3.1.3): a product node entering a
+    // non-accepting state is dropped when an admitted node with the same
+    // Büchi state and projection assumes less. Nodes entering accepting
+    // states are never dropped, and dropped edges are never redirected.
+    let mut chains = (opts.prune && aut.is_safety_shaped()).then(Antichains::default);
+    let keep = |chains: &mut Option<Antichains>, configs: &Interner<_>, id: u32, q: usize| {
+        aut.accepting[q]
+            || chains
+                .as_mut()
+                .is_none_or(|a| a.admit(configs, id, q as u32))
+    };
+
     // Initial product nodes `(config id, Büchi state)`.
     let mut inits: Vec<(u32, usize)> = Vec::new();
-    for c0 in initial_configs(service, &ctable) {
-        for (c1, letter) in letters(c0) {
-            let (id, _) = configs.intern_from(c1);
-            for &q in &aut.initial {
-                if aut.guard[q].accepts(&letter) {
-                    inits.push((id, q));
-                }
+    for (c, letter) in product.initial() {
+        let (id, _) = configs.intern_from(c);
+        for q in product.moves(None, &letter) {
+            if keep(&mut chains, &configs, id, q) {
+                inits.push((id, q));
             }
         }
     }
@@ -404,20 +524,18 @@ pub fn verify_ltl(
             Some(pairs) => pairs,
             None => {
                 let cfg = Arc::clone(configs.get(id));
-                let mut pairs = Vec::new();
-                for s in successors(service, &ctable, &cfg) {
-                    for (c, letter) in letters(s) {
-                        pairs.push((configs.intern_from(c).0, letter));
-                    }
-                }
+                let pairs = product
+                    .successors(&cfg)
+                    .map(|(c, letter)| (configs.intern_from(c).0, letter))
+                    .collect();
                 memo[i].insert(pairs)
             }
         };
         let mut out = Vec::new();
-        for (s2, letter) in pairs {
-            for &q2 in &aut.succ[q] {
-                if aut.guard[q2].accepts(letter) {
-                    out.push((*s2, q2));
+        for &(s2, ref letter) in pairs {
+            for q2 in product.moves(Some(q), letter) {
+                if keep(&mut chains, &configs, s2, q2) {
+                    out.push((s2, q2));
                 }
             }
         }
@@ -434,7 +552,7 @@ pub fn verify_ltl(
     let render = |nodes: Vec<(u32, usize)>| -> Vec<String> {
         nodes
             .iter()
-            .map(|&(id, _)| configs.get(id).render(&ctable))
+            .map(|&(id, _)| configs.get(id).render(&product.ctable))
             .collect()
     };
     let verdict = match result {
@@ -448,7 +566,106 @@ pub fn verify_ltl(
     };
     stats.sliced_rules = sliced_rules;
     stats.sliced_relations = sliced_relations;
+    stats.pruned = chains.map_or(0, |a| a.pruned);
     Ok(VerifyOutcome { verdict, stats })
+}
+
+/// Replays a [`Verdict::Violated`] lasso of [`verify_ltl`] through the
+/// full product, with nothing pruned whatever `opts.prune` says: true
+/// when some path of product nodes starts at an initial node, renders
+/// as `stem` followed by `cycle`, returns from its last node to its
+/// first cycle node, and passes an accepting Büchi state on the cycle.
+/// `opts` must slice as the run that reported the lasso did, since the
+/// rendering names the sliced service's state. A pruned search walks a
+/// subgraph of this product (DESIGN.md §3.1.3), so each of its lassos
+/// must replay; wave-qa holds it to that.
+pub fn lasso_replays(
+    service: &Service,
+    property: &Property,
+    opts: &SymbolicOptions,
+    stem: &[String],
+    cycle: &[String],
+) -> Result<bool, SymbolicError> {
+    let opts = opts.normalized();
+    let Prepared { sliced, table, aut } = prepare(service, property, &opts)?;
+    let Ok(aut) = aut else {
+        return Ok(false);
+    };
+    if cycle.is_empty() {
+        return Ok(false);
+    }
+    let service = sliced.as_ref().map_or(service, |r| &r.service);
+    let product = Product::new(service, property, table, aut);
+    let word: Vec<&String> = stem.iter().chain(cycle).collect();
+    let entry = stem.len();
+
+    let mut configs: Interner<Arc<SymConfig>> = Interner::new();
+    let mut memo: Vec<Option<Vec<(u32, PropSet)>>> = Vec::new();
+    let mut expand = |configs: &mut Interner<Arc<SymConfig>>, id: u32| {
+        let i = id as usize;
+        if memo.len() <= i {
+            memo.resize(i + 1, None);
+        }
+        if memo[i].is_none() {
+            let cfg = Arc::clone(configs.get(id));
+            memo[i] = Some(
+                product
+                    .successors(&cfg)
+                    .map(|(c, letter)| (configs.intern_from(c).0, letter))
+                    .collect(),
+            );
+        }
+        memo[i].clone().expect("filled above")
+    };
+
+    // A partial match at position `i` of the word: the product node
+    // there, the node at the cycle entry once the match has passed it,
+    // and whether the cycle so far has passed an accepting state.
+    type Partial = ((u32, usize), Option<(u32, usize)>, bool);
+    let step = |i: usize, node: (u32, usize), entered: Option<(u32, usize)>, acc: bool| {
+        let entered = if i == entry { Some(node) } else { entered };
+        (
+            node,
+            entered,
+            acc || (i >= entry && product.aut.accepting[node.1]),
+        )
+    };
+    let mut here: BTreeSet<Partial> = BTreeSet::new();
+    for (c, letter) in product.initial() {
+        if c.render(&product.ctable) == *word[0] {
+            let (id, _) = configs.intern_from(c);
+            for q in product.moves(None, &letter) {
+                here.insert(step(0, (id, q), None, false));
+            }
+        }
+    }
+    for (i, rendered) in word.iter().enumerate().skip(1) {
+        let mut next = BTreeSet::new();
+        for &((id, q), entered, acc) in &here {
+            for (s2, letter) in expand(&mut configs, id) {
+                if configs.get(s2).render(&product.ctable) != **rendered {
+                    continue;
+                }
+                for q2 in product.moves(Some(q), &letter) {
+                    next.insert(step(i, (s2, q2), entered, acc));
+                }
+            }
+        }
+        here = next;
+    }
+    // The closing edge, from the last node back to the cycle entry.
+    for &((id, q), entered, acc) in &here {
+        let Some((e, qe)) = entered.filter(|_| acc) else {
+            continue;
+        };
+        let closes = expand(&mut configs, id)
+            .iter()
+            .any(|(s2, letter)| *s2 == e && product.moves(Some(q), letter).any(|q2| q2 == qe));
+        if closes {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Decides error-freeness (Theorem 3.5(i)): is the error page unreachable
@@ -456,6 +673,9 @@ pub fn verify_ltl(
 /// reachability over the symbolic configuration graph (no automaton
 /// needed — "error free" is the safety property `G ¬W_err`). Each layer
 /// is expanded in frontier order, so the witness path is deterministic.
+/// With [`SymbolicOptions::prune`], a configuration subsumed by an
+/// admitted one with the same projection is interned but never expanded
+/// (DESIGN.md §3.1.3).
 pub fn is_error_free(
     service: &Service,
     opts: &SymbolicOptions,
@@ -477,11 +697,19 @@ pub fn is_error_free(
     let mut frontier: Vec<u32> = Vec::new();
     let mut expanded = 0usize;
     let mut init_limit_hit = false;
+    // One antichain per projection: error-freeness is a reachability
+    // question, so pruning applies whatever the service.
+    let mut chains = opts.prune.then(Antichains::default);
+    let admit = |chains: &mut Option<Antichains>, interner: &Interner<_>, id: u32| {
+        chains.as_mut().is_none_or(|a| a.admit(interner, id, 0))
+    };
     for c in initial_configs(service, &ctable) {
         let (id, new) = interner.intern_from(c);
         if new {
             parent.push(None);
-            frontier.push(id);
+            if admit(&mut chains, &interner, id) {
+                frontier.push(id);
+            }
             // Clamp here too: a service with a very wide entry fan-out
             // must not intern past the budget before the loop starts.
             if interner.len() > opts.node_limit {
@@ -492,20 +720,21 @@ pub fn is_error_free(
     }
     let mut peak = frontier.len();
 
-    let stats = |interner: &Interner<Arc<SymConfig>>, expanded: usize, peak: usize| SearchStats {
+    // Error-freeness is never sliced: every rule can influence the
+    // error conditions (ambiguous/dead targets, constant provision), so
+    // the cone is the whole service by definition — and for the same
+    // reason it never replays from the incremental tier.
+    let stats = |interner: &Interner<Arc<SymConfig>>,
+                 chains: &Option<Antichains>,
+                 expanded: usize,
+                 peak: usize| SearchStats {
         nodes_interned: interner.len(),
         dedup_hits: interner.dedup_hits(),
         successors_memoized: expanded,
-        memo_hits: 0,
         peak_frontier: peak,
         search_wall: t0.elapsed(),
-        // Error-freeness is never sliced: every rule can influence the
-        // error conditions (ambiguous/dead targets, constant provision),
-        // so the cone is the whole service by definition — and for the
-        // same reason it never replays from the incremental tier.
-        sliced_rules: 0,
-        sliced_relations: 0,
-        incremental: false,
+        pruned: chains.as_ref().map_or(0, |a| a.pruned),
+        ..SearchStats::default()
     };
     let witness = |interner: &Interner<Arc<SymConfig>>, parent: &[Option<u32>], id: u32| {
         let mut path = Vec::new();
@@ -526,7 +755,7 @@ pub fn is_error_free(
         if interner.get(id).page == ctable.error_page() {
             return Ok(VerifyOutcome {
                 verdict: witness(&interner, &parent, id),
-                stats: stats(&interner, expanded, peak),
+                stats: stats(&interner, &chains, expanded, peak),
             });
         }
     }
@@ -538,7 +767,7 @@ pub fn is_error_free(
         };
         return Ok(VerifyOutcome {
             verdict,
-            stats: stats(&interner, expanded, peak),
+            stats: stats(&interner, &chains, expanded, peak),
         });
     }
 
@@ -546,13 +775,13 @@ pub fn is_error_free(
         if opts.cancel.is_cancelled() {
             return Ok(VerifyOutcome {
                 verdict: Verdict::Cancelled,
-                stats: stats(&interner, expanded, peak),
+                stats: stats(&interner, &chains, expanded, peak),
             });
         }
         if interner.len() > opts.node_limit {
             return Ok(VerifyOutcome {
                 verdict: Verdict::LimitReached,
-                stats: stats(&interner, expanded, peak),
+                stats: stats(&interner, &chains, expanded, peak),
             });
         }
         expanded += frontier.len();
@@ -568,7 +797,7 @@ pub fn is_error_free(
                     if interner.get(id).page == ctable.error_page() {
                         return Ok(VerifyOutcome {
                             verdict: witness(&interner, &parent, id),
-                            stats: stats(&interner, expanded, peak),
+                            stats: stats(&interner, &chains, expanded, peak),
                         });
                     }
                     // Clamp *within* the layer: a wide layer must not
@@ -583,10 +812,12 @@ pub fn is_error_free(
                         };
                         return Ok(VerifyOutcome {
                             verdict,
-                            stats: stats(&interner, expanded, peak),
+                            stats: stats(&interner, &chains, expanded, peak),
                         });
                     }
-                    next.push(id);
+                    if admit(&mut chains, &interner, id) {
+                        next.push(id);
+                    }
                 }
             }
         }
@@ -594,10 +825,8 @@ pub fn is_error_free(
         frontier = next;
     }
     Ok(VerifyOutcome {
-        verdict: Verdict::Holds {
-            explored: interner.len(),
-        },
-        stats: stats(&interner, expanded, peak),
+        verdict: Verdict::Holds { explored: expanded },
+        stats: stats(&interner, &chains, expanded, peak),
     })
 }
 
@@ -1013,6 +1242,123 @@ mod tests {
         .unwrap();
         assert!(sliced.violated(), "{sliced:?}");
         assert!(full.violated(), "{full:?}");
+    }
+
+    /// ¬φ's automaton, built the way [`verify_ltl`] builds it.
+    fn negated_automaton(property: &str) -> Buchi {
+        let p = parse_property(property).unwrap();
+        let mut table = FoAbstraction::default();
+        let pnf = to_pnf(&p.body, true, &mut table).unwrap();
+        wave_automata::ltl2buchi::translate(&pnf)
+    }
+
+    const FIG2: &str = "forall p . G (!ship(p) | paid)";
+
+    fn unpruned() -> SymbolicOptions {
+        SymbolicOptions {
+            prune: false,
+            ..SymbolicOptions::default()
+        }
+    }
+
+    #[test]
+    fn fig2_negation_is_safety_shaped() {
+        assert!(negated_automaton(FIG2).is_safety_shaped());
+    }
+
+    #[test]
+    fn a_liveness_negation_is_not_pruned_and_stays_violated() {
+        // wave-qa seed 4, shrunk: pruning every automaton turned this
+        // `Violated` into `Holds` (DESIGN.md §3.1.3). `G !P1` is not
+        // safety-shaped, so nothing may be pruned.
+        let spec = wave_core::spec::ServiceSpec::parse(
+            "home P0\ndb r0 1\npage P0\n  goto P1 when (r0(\"k\") | r0(\"k\"))\n\
+             page P1\nproperty F (P1)\n",
+        )
+        .unwrap();
+        let (s, _) = spec.build().unwrap();
+        let p = parse_property(&spec.property).unwrap();
+        assert!(!negated_automaton(&spec.property).is_safety_shaped());
+        let out = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
+        assert!(out.violated(), "{out:?}");
+        assert_eq!(out.stats.pruned, 0);
+        assert_eq!(
+            out.verdict,
+            verify_ltl(&s, &p, &unpruned()).unwrap().verdict
+        );
+    }
+
+    #[test]
+    fn pruning_shrinks_fig2_on_checkout_bench_and_keeps_holds() {
+        let bench = wave_demo::site::checkout_bench();
+        let p = parse_property(FIG2).unwrap();
+        let pruned = verify_ltl(&bench, &p, &SymbolicOptions::default()).unwrap();
+        let full = verify_ltl(&bench, &p, &unpruned()).unwrap();
+        assert!(pruned.holds(), "{pruned:?}");
+        assert!(full.holds(), "{full:?}");
+        assert!(pruned.stats.pruned > 0);
+        assert_eq!(full.stats.pruned, 0);
+        assert!(
+            pruned.stats.nodes_interned < full.stats.nodes_interned,
+            "{} vs {}",
+            pruned.stats.nodes_interned,
+            full.stats.nodes_interned
+        );
+        assert!(pruned.stats.nodes_interned <= 1_800, "{}", pruned.stats);
+    }
+
+    #[test]
+    fn error_freeness_verdicts_agree_with_and_without_pruning_on_every_demo_site() {
+        use wave_demo::{hierarchy, site};
+        for (name, s) in [
+            ("full_site", site::full_site()),
+            ("checkout_core", site::checkout_core()),
+            ("checkout_bench", site::checkout_bench()),
+            ("audit_site", site::audit_site()),
+            ("navigation_abstraction", site::navigation_abstraction()),
+            ("navigator", hierarchy::navigator()),
+        ] {
+            let pruned = is_error_free(&s, &SymbolicOptions::default()).unwrap();
+            let full = is_error_free(&s, &unpruned()).unwrap();
+            assert_eq!(
+                std::mem::discriminant(&pruned.verdict),
+                std::mem::discriminant(&full.verdict),
+                "{name}: {pruned:?} vs {full:?}"
+            );
+            assert!(pruned.stats.nodes_interned <= full.stats.nodes_interned);
+        }
+    }
+
+    #[test]
+    fn reported_lassos_replay_and_altered_ones_do_not() {
+        // A pruned search on `checkout_bench` (safety-shaped negation)
+        // and an unpruned one on the login service: both lassos are
+        // paths of the unpruned product.
+        let bench = wave_demo::site::checkout_bench();
+        for (s, prop) in [(bench, "forall p . G !ship(p)"), (login(), "G !CP")] {
+            let p = parse_property(prop).unwrap();
+            let out = verify_ltl(&s, &p, &SymbolicOptions::default()).unwrap();
+            let Verdict::Violated { stem, cycle } = &out.verdict else {
+                panic!("{prop}: {out:?}");
+            };
+            assert!(
+                lasso_replays(&s, &p, &unpruned(), stem, cycle).unwrap(),
+                "{prop}"
+            );
+            // A configuration the service never reaches, in the stem or
+            // in the cycle, breaks the replay.
+            let mut bad_stem = stem.clone();
+            bad_stem.insert(0, "page=nowhere".into());
+            assert!(!lasso_replays(&s, &p, &unpruned(), &bad_stem, cycle).unwrap());
+            let mut bad_cycle = cycle.clone();
+            bad_cycle.push("page=nowhere".into());
+            assert!(!lasso_replays(&s, &p, &unpruned(), stem, &bad_cycle).unwrap());
+            // A cycle cut short does not close.
+            if cycle.len() > 1 {
+                let cut = &cycle[..cycle.len() - 1];
+                assert!(!lasso_replays(&s, &p, &unpruned(), stem, cut).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -43,11 +43,12 @@ mod engine;
 mod eval;
 mod state;
 mod step;
+mod subsume;
 mod table;
 
 pub use config::SymConfig;
 pub use engine::{
-    buchi_key, is_error_free, verify_ltl, CancelToken, SearchStats, SymbolicError, SymbolicOptions,
-    Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
+    buchi_key, is_error_free, lasso_replays, verify_ltl, CancelToken, SearchStats, SymbolicError,
+    SymbolicOptions, Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
 };
 pub use table::{CTable, Sym};

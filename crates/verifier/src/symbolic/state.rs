@@ -261,6 +261,26 @@ impl SymState {
         }
     }
 
+    /// The equality partition: every symbol's class representative.
+    pub(crate) fn partition(&self) -> &[CSym] {
+        &self.parent
+    }
+
+    /// True when `self` assumes no more than `other`: the same equality
+    /// partition, and every disequality and every persistent and local
+    /// literal of `self` recorded in `other` with the same value. Every
+    /// database consistent with `other` is then consistent with `self`
+    /// (DESIGN.md §3.1.3).
+    pub fn weaker_than(&self, other: &SymState) -> bool {
+        fn sub<K: Ord, V: PartialEq>(a: &BTreeMap<K, V>, b: &BTreeMap<K, V>) -> bool {
+            a.len() <= b.len() && a.iter().all(|(k, v)| b.get(k) == Some(v))
+        }
+        self.parent == other.parent
+            && self.diseq.is_subset(&other.diseq)
+            && sub(&self.facts, &other.facts)
+            && sub(&self.local, &other.local)
+    }
+
     /// True when some local literal is recorded; [`SymState::retire_fresh`]
     /// is a no-op otherwise.
     pub fn has_local(&self) -> bool {
@@ -485,6 +505,32 @@ mod tests {
             hasher.finish()
         };
         assert_eq!(h(&forward), h(&backward));
+    }
+
+    #[test]
+    fn weaker_than_is_literal_inclusion_over_one_partition() {
+        let t = table();
+        let name = t.const_sym("name").unwrap();
+        let w = t.witness_sym("w").unwrap();
+        let base = SymState::new(t.len());
+        let mut more = base.clone();
+        more.assert_fact(R, &[Sym::C(name)], true).unwrap();
+        more.assert_fact(R, &[Sym::F(0), Sym::C(w)], false).unwrap();
+        more.assert_eq_c(&t, name, w, false).unwrap();
+        assert!(base.weaker_than(&base));
+        assert!(base.weaker_than(&more));
+        assert!(!more.weaker_than(&base));
+        // The same literal with the other value is not weaker.
+        let mut other = base.clone();
+        other.assert_fact(R, &[Sym::C(name)], false).unwrap();
+        assert!(!other.weaker_than(&more));
+        assert!(!more.weaker_than(&other));
+        // A different partition is never comparable, even with fewer
+        // literals.
+        let mut merged = base.clone();
+        merged.assert_eq_c(&t, name, w, true).unwrap();
+        assert!(!merged.weaker_than(&more));
+        assert!(!base.weaker_than(&merged));
     }
 
     #[test]
