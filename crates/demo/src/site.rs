@@ -411,7 +411,7 @@ fn checkout_core_builder() -> ServiceBuilder {
 const BENCH_TOGGLES: usize = 2;
 
 /// A scaled-up checkout for `bench_symbolic`: the [`checkout_core`]
-/// page graph plus [`BENCH_TOGGLES`] independent toggle flags flipped
+/// page graph plus `BENCH_TOGGLES` independent toggle flags flipped
 /// from CP. The checkout core saturates around 3k interned
 /// configurations — too small for thread-scaling measurements, where
 /// per-run setup dominates the search. The flags multiply the state

@@ -25,7 +25,7 @@
 //! holding every record, whoever owns it.
 //!
 //! Cursors (journal generation + byte offset, see
-//! [`JournalCursor`](wave_serve::cache::JournalCursor)) are tracked per
+//! [`JournalCursor`]) are tracked per
 //! `(source, peer)` pair and only advance past the batches that peer
 //! acknowledged, so a peer that misses a round (drop fault, dead socket)
 //! catches up on the next tick instead of silently losing the window.

@@ -13,7 +13,7 @@
 //!   the per-database Kripke structure must match the enumerative
 //!   verdict on that database.
 //! * **slice vs full**: the cone-of-influence slicer
-//!   ([`wave_core::slice`]) is on by default in the symbolic engine, so
+//!   ([`wave_core::slice`](mod@wave_core::slice)) is on by default in the symbolic engine, so
 //!   the base run is sliced; a `slice: false` leg re-verifies the full
 //!   service. Both conclusive verdicts must agree in kind — the
 //!   certified-reduction claim (DESIGN.md §12) demanded on every

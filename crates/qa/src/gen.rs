@@ -40,7 +40,7 @@ pub struct Case {
 const MAX_ATTEMPTS: u64 = 64;
 
 /// Generates the case for `seed`. Deterministic; panics only if
-/// [`MAX_ATTEMPTS`] consecutive candidates are inadmissible, which
+/// `MAX_ATTEMPTS` consecutive candidates are inadmissible, which
 /// would be a generator bug worth crashing on.
 pub fn generate(seed: u64) -> Case {
     candidates(seed)

@@ -1,72 +1,33 @@
-//! The service engine: fingerprint → cache → admit → schedule → verify.
+//! The service engine: one [`Engine`] owns the result cache, the
+//! incremental tiers and the worker pool, and answers verify requests.
 //!
-//! One [`Engine`] owns the result cache and the worker pool. A submit:
+//! # The submit pipeline
 //!
-//! 1. resolves the named service and parses the property;
-//! 2. refuses immediately when the engine is [draining](Engine::begin_drain)
-//!    (`Draining`) or past its soft load budget (`Overloaded`, carrying
-//!    a retry-after hint) — graceful degradation beats collapse — and
-//!    arms the request's deadline;
-//! 3. computes the request's canonical [`Fingerprint`] over the
-//!    *resolved* `Service` structure, the mode, the property, the
-//!    normalized node budget and the admission rules' version
-//!    ([`wave_verifier::precheck::ADMISSION_VERSION`]) — `threads`
-//!    (ignored) and `deadline_us` are excluded because they can never
-//!    change the verdict;
-//! 4. on a cache hit, replays the stored outcome bytes verbatim
-//!    (`cache_hit: true`, byte-identical to the run that stored them)
-//!    without re-running admission: only admitted content is ever
-//!    cached, and the version in the fingerprint keeps content admitted
-//!    under other rules unreachable. A request whose deadline already
-//!    expired skips the probe;
-//! 5. runs the `wave-lint` admission gate
-//!    ([`wave_verifier::precheck::admit`]) — only the passes that can
-//!    refuse: a service outside the decidable classes, or a property
-//!    that fails static analysis, is refused here with the full lint
-//!    report, before it can consume cache space or a worker's
-//!    verification budget; an expired deadline is then answered dead
-//!    on arrival;
-//! 6. on a miss, **coalesces** with any identical in-flight
-//!    fingerprint: the first submission (the *leader*) runs the
-//!    verification, every concurrent duplicate (a *follower*) blocks on
-//!    the leader's slot and is answered with the same outcome bytes — a
-//!    thundering herd on one hot property costs exactly one
-//!    verification ([`SubmitResult::coalesced_waiters`] reports how
-//!    many submissions shared the run);
-//! 7. before running cold, the leader probes the **incremental verdict
-//!    tier** ([`crate::tiers`]): when the property's cone-sliced
-//!    service matches a prior run, the stored verdict replays without a
-//!    search (`incremental: true` in the reply, zero search counters);
-//! 8. the leader schedules the verification on the worker pool (bounded
-//!    queue — an overloaded engine rejects rather than buffering
-//!    unboundedly), blocks for the result, and caches it — unless the
-//!    job was cancelled, since a deadline-specific non-answer must not
-//!    be replayed to later callers with laxer deadlines.
+//! [`Engine::submit_service`] parses the property, then runs the request
+//! through named stages, in order: `gate`, `probe`, `admit`,
+//! `dead_or_quarantined`, `join_or_lead`, `tier_probe` and `run_cold`.
+//! Each stage either ends the submit with an `Answer` naming its outcome
+//! class or hands the next stage what it needs (a `std::ops::ControlFlow`),
+//! and each stage's doc says what it checks and why it sits where it
+//! does. One function, `finish`, turns every answer into the caller's
+//! result and bumps that class's counter (the ledger is on [`Counters`]).
 //!
-//! # Fleet participation
+//! # Fleet participation and failure hardening
 //!
-//! An engine can serve as one **shard** of a multi-node fleet
-//! (`wave-fleet`): [`EngineOptions::shard`] names the node in every
-//! reply, and [`Engine::apply_replicated`] installs a result shipped
-//! from another node's journal — after validating that the bytes decode
-//! to a cacheable outcome and re-encode byte-identically, so a replica
-//! can never replay corrupted or non-canonical bytes.
-//!
-//! # Failure hardening
-//!
-//! A verification job that **panics** its worker (which the verifier
-//! never does by contract — chaos testing injects it) is contained by
-//! the pool's `catch_unwind`; the submit observes the dropped result
-//! channel and reports a typed `Internal` error. Repeated panics on the
-//! **same fingerprint** quarantine that request: further submits are
-//! answered with the typed [`Verdict::Poisoned`] instead of feeding the
-//! same poison pill to worker after worker. Fault-injection hook points
-//! ([`crate::faults`]) thread through the deadline clock, the queue
-//! door and the worker run so `wave-chaos` can drive all of this
+//! [`EngineOptions::shard`] names the node in every reply, and
+//! [`Engine::apply_replicated`] installs a result shipped from another
+//! node's journal after validating that the bytes decode to a cacheable
+//! outcome and re-encode byte-identically. A job that panics its worker
+//! (chaos testing injects it) is contained by the pool's `catch_unwind`
+//! and reported as a typed `Internal` error; repeated panics on the same
+//! fingerprint quarantine it ([`Verdict::Poisoned`]). Fault-injection
+//! hooks ([`crate::faults`]) sit at the deadline clock, the queue door
+//! and the worker run, so `wave-chaos` can drive all of this
 //! deterministically.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -78,7 +39,7 @@ use wave_core::service::Service;
 use wave_logic::fingerprint::{Canonical, Fingerprint, Fnv128};
 use wave_logic::parser::parse_property;
 use wave_logic::temporal::Property;
-use wave_verifier::precheck::{admit, ADMISSION_VERSION};
+use wave_verifier::precheck::{self, ADMISSION_VERSION};
 use wave_verifier::symbolic::{
     is_error_free, verify_ltl, CancelToken, SearchStats, SymbolicOptions, Verdict, VerifyOutcome,
 };
@@ -226,22 +187,35 @@ pub struct SubmitResult {
 }
 
 /// Monotonic engine counters (reported by the `stats` command).
+///
+/// The outcome ledger: every submission counted in `submitted` lands in
+/// exactly one outcome class, so `submitted` is the sum of `cache_hits`,
+/// `incremental_hits`, `coalesced`, `cache_misses`, `dead_on_arrival`,
+/// `quarantined`, `admission_rejections`, `drain_rejections` and
+/// `load_shed`. The other counters are flags that overlap those classes
+/// (`cancelled`, `queue_rejections`, `worker_panics`) or count other work.
 #[derive(Default)]
 pub struct Counters {
-    /// Verify submissions accepted for processing.
+    /// Verify submissions accepted for processing (the property parsed).
     pub submitted: AtomicU64,
     /// Submissions answered from the cache.
     pub cache_hits: AtomicU64,
-    /// Submissions that ran a verification.
+    /// Submissions that took the cold path: they ran a verification, or
+    /// were refused at the queue (`QueueFull`), or lost their worker to a
+    /// panic (`Internal`).
     pub cache_misses: AtomicU64,
-    /// Verifications that ended in `Verdict::Cancelled`.
+    /// `Cancelled` answers that a deadline cut short: cold verifications
+    /// that ended in `Verdict::Cancelled` (also in `cache_misses`) and
+    /// followers that left a coalesced run on their own deadline (also
+    /// in `coalesced`). Not an outcome class of its own.
     pub cancelled: AtomicU64,
     /// Submissions rejected because the queue was full.
     pub queue_rejections: AtomicU64,
     /// Submissions refused by static analysis before any verification.
     pub admission_rejections: AtomicU64,
-    /// Submissions whose deadline had already expired at submit time:
-    /// answered `Cancelled` without fingerprinting, caching or queueing.
+    /// Submissions whose deadline had expired by the end of admission:
+    /// answered with a synthetic `Cancelled` under the null fingerprint,
+    /// never cached and never queued.
     pub dead_on_arrival: AtomicU64,
     /// Jobs that panicked their worker (contained; typed `Internal`).
     pub worker_panics: AtomicU64,
@@ -253,7 +227,8 @@ pub struct Counters {
     /// Submissions shed with `Overloaded` under the soft budgets.
     pub load_shed: AtomicU64,
     /// Submissions answered by joining an identical in-flight run
-    /// instead of verifying (followers of a coalesced run).
+    /// instead of verifying (followers of a coalesced run), including
+    /// followers that left on their own deadline before the run ended.
     pub coalesced: AtomicU64,
     /// Replicated results installed into the cache from another node's
     /// shipped journal.
@@ -278,32 +253,85 @@ pub struct Counters {
     pub incremental_misses: AtomicU64,
 }
 
-/// State of one in-flight verification slot.
-enum SlotState {
-    /// The leader is still running.
-    Pending,
-    /// The leader finished; followers clone this.
-    Done(Result<Vec<u8>, SubmitError>),
+/// The outcome classes of the ledger (see [`Counters`]); `Engine::finish`
+/// maps each to its counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    Hit,
+    Tier,
+    Coalesced,
+    Cold,
+    DeadOnArrival,
+    Quarantined,
+    Admission,
+    Drain,
+    Shed,
+}
+
+/// One verify submission's inputs, as the pipeline's stages read them.
+struct Submission<'r> {
+    req: &'r VerifyRequest,
+    service: Service,
+    sources: ServiceSources,
+    property: Option<Property>,
+}
+
+/// How a stage ends a submit: its outcome class and what the caller
+/// gets.
+struct Answer(Outcome, Result<Reply, SubmitError>);
+
+/// A submit's reply, before `Engine::finish` adds the envelope.
+struct Reply {
+    fingerprint: Fingerprint,
+    class: ServiceClass,
+    waiters: u64,
+    bytes: Vec<u8>,
+}
+
+impl Reply {
+    /// The reply carrying `bytes`, or the typed error the run ended in.
+    fn of(
+        fingerprint: Fingerprint,
+        class: ServiceClass,
+        waiters: u64,
+        bytes: Result<Vec<u8>, SubmitError>,
+    ) -> Result<Reply, SubmitError> {
+        bytes.map(|bytes| Reply {
+            fingerprint,
+            class,
+            waiters,
+            bytes,
+        })
+    }
+}
+
+/// The canonical encoding of an outcome: the bytes the wire carries and
+/// the cache stores.
+fn encode(outcome: &VerifyOutcome) -> Vec<u8> {
+    outcome_to_json(outcome).encode().into_bytes()
+}
+
+/// The encoding of a verdict no search produced (`Cancelled` for an
+/// expired deadline, `Poisoned` for a quarantined fingerprint). It is a
+/// non-answer about this request only, so it is never cached.
+fn synthetic(verdict: Verdict) -> Vec<u8> {
+    encode(&VerifyOutcome {
+        verdict,
+        stats: SearchStats::default(),
+    })
 }
 
 /// One in-flight verification, shared between its leader and the
 /// followers coalescing onto it.
+#[derive(Default)]
 struct RunSlot {
-    state: Mutex<SlotState>,
+    /// The leader's result once it finishes (`None` while it runs);
+    /// followers clone it.
+    result: Mutex<Option<Result<Vec<u8>, SubmitError>>>,
     cv: Condvar,
     /// Followers that joined this run (final once the slot is published,
     /// because joining and publishing both hold the runs-map lock).
     waiters: AtomicU64,
-}
-
-impl RunSlot {
-    fn new() -> Arc<RunSlot> {
-        Arc::new(RunSlot {
-            state: Mutex::new(SlotState::Pending),
-            cv: Condvar::new(),
-            waiters: AtomicU64::new(0),
-        })
-    }
 }
 
 /// Publishes the leader's slot on drop, whatever the exit path: the
@@ -313,35 +341,33 @@ impl RunSlot {
 struct LeaderGuard<'a> {
     engine: &'a Engine,
     fp: Fingerprint,
+    class: ServiceClass,
     slot: Arc<RunSlot>,
     published: bool,
 }
 
 impl LeaderGuard<'_> {
-    /// Removes the slot from the runs map (under the map lock, so no
-    /// further follower can join), then wakes every follower with the
-    /// result. Returns the final follower count.
-    fn publish(&mut self, result: Result<Vec<u8>, SubmitError>) -> u64 {
+    /// Publishes `result` and answers the leader with it: removes the
+    /// slot from the runs map (under the map lock, so no further follower
+    /// can join), then wakes every follower with the result. The reply
+    /// carries the final follower count.
+    fn reply(&mut self, result: Result<Vec<u8>, SubmitError>) -> Result<Reply, SubmitError> {
         self.published = true;
-        self.engine
-            .runs
-            .lock()
-            .expect("runs poisoned")
-            .remove(&self.fp.0);
+        let mut runs = self.engine.runs.lock().expect("runs poisoned");
+        runs.remove(&self.fp.0);
+        drop(runs);
         let waiters = self.slot.waiters.load(Ordering::SeqCst);
-        let mut state = self.slot.state.lock().expect("slot poisoned");
-        *state = SlotState::Done(result);
+        *self.slot.result.lock().expect("slot poisoned") = Some(result.clone());
         self.slot.cv.notify_all();
-        waiters
+        Reply::of(self.fp, self.class, waiters, result)
     }
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if !self.published {
-            self.publish(Err(SubmitError::Internal(
-                "coalescing leader unwound without publishing".into(),
-            )));
+            let unwound = "coalescing leader unwound without publishing";
+            let _ = self.reply(Err(SubmitError::Internal(unwound.into())));
         }
     }
 }
@@ -637,134 +663,175 @@ impl Engine {
             ),
         };
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let sub = Submission {
+            req,
+            service,
+            sources,
+            property,
+        };
+        // A cold run is counted before it runs, so `stats` shows a
+        // verification while it is in flight.
+        match self.stages(&sub) {
+            Break(Answer(outcome, reply)) => self.finish(outcome, || reply),
+            Continue((leader, cancel, tier_key)) => self.finish(Outcome::Cold, || {
+                self.run_cold(leader, sub, cancel, tier_key)
+            }),
+        }
+    }
 
-        // Drain gate: a draining engine finishes what it accepted and
-        // refuses everything new — even cheap cache hits, so clients
-        // migrate promptly.
+    /// Stages 1 to 6, in order: what passes them all goes cold with the
+    /// leader's slot, the armed deadline and the verdict-tier key.
+    fn stages(
+        &self,
+        sub: &Submission,
+    ) -> ControlFlow<Answer, (LeaderGuard<'_>, CancelToken, Option<Fingerprint>)> {
+        let cancel = self.gate(sub.req.deadline_us)?;
+        let fp = self.probe(sub, &cancel)?;
+        let class = self.admit(sub)?;
+        self.dead_or_quarantined(fp, class, &cancel)?;
+        let mut leader = self.join_or_lead(fp, class, &cancel)?;
+        let tier_key = self.tier_probe(&mut leader, sub)?;
+        Continue((leader, cancel, tier_key))
+    }
+
+    /// The outcome ledger: bumps the counter of `outcome`'s class, then
+    /// builds the caller's result from `reply`. The only place a
+    /// [`SubmitResult`] is built and an outcome-class counter moves.
+    fn finish(
+        &self,
+        outcome: Outcome,
+        reply: impl FnOnce() -> Result<Reply, SubmitError>,
+    ) -> Result<SubmitResult, SubmitError> {
+        let c = &self.counters;
+        let class_counter = match outcome {
+            Outcome::Hit => &c.cache_hits,
+            Outcome::Tier => &c.incremental_hits,
+            Outcome::Coalesced => &c.coalesced,
+            Outcome::Cold => &c.cache_misses,
+            Outcome::DeadOnArrival => &c.dead_on_arrival,
+            Outcome::Quarantined => &c.quarantined,
+            Outcome::Admission => &c.admission_rejections,
+            Outcome::Drain => &c.drain_rejections,
+            Outcome::Shed => &c.load_shed,
+        };
+        class_counter.fetch_add(1, Ordering::Relaxed);
+        let reply = reply()?;
+        Ok(SubmitResult {
+            fingerprint: reply.fingerprint,
+            cache_hit: outcome == Outcome::Hit,
+            incremental: outcome == Outcome::Tier,
+            class: reply.class,
+            shard: self.shard,
+            coalesced_waiters: reply.waiters,
+            outcome_bytes: reply.bytes,
+        })
+    }
+
+    /// Stage 1. A draining engine finishes what it accepted and refuses
+    /// everything new, even cheap cache hits, so clients migrate
+    /// promptly. Past the soft budgets a submit is shed with a typed
+    /// retry-after before the hard `QueueFull` wall (or the memory
+    /// ceiling) is hit. Then the deadline is armed: the whole pipeline
+    /// runs on the caller's clock, which the chaos plane may skew.
+    fn gate(&self, mut deadline_us: u64) -> ControlFlow<Answer, CancelToken> {
         if self.is_draining() {
-            self.counters
-                .drain_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Draining);
+            return Break(Answer(Outcome::Drain, Err(SubmitError::Draining)));
         }
-
-        // Soft budgets: shed with a typed retry-after before the hard
-        // QueueFull wall (or the memory ceiling) is hit.
         if let Some(retry_after_ms) = self.overloaded() {
-            self.counters.load_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Overloaded { retry_after_ms });
+            let refusal = SubmitError::Overloaded { retry_after_ms };
+            return Break(Answer(Outcome::Shed, Err(refusal)));
         }
-
-        // The deadline budget is armed at submit: the whole pipeline —
-        // admission, fingerprinting, queue wait, verification — runs on
-        // the caller's clock. The chaos plane may skew it.
-        let mut deadline_us = req.deadline_us;
         if let Fault::SkewDeadline { mul, div } = self.faults.decide(Hook::DeadlineArm, 0) {
             deadline_us = deadline_us
                 .saturating_mul(mul.max(1) as u64)
                 .checked_div(div.max(1) as u64)
                 .unwrap_or(deadline_us);
         }
-        let cancel = if deadline_us > 0 {
+        Continue(if deadline_us > 0 {
             CancelToken::with_deadline(Duration::from_micros(deadline_us))
         } else {
             CancelToken::never()
-        };
+        })
+    }
 
-        // Cache probe: the content fingerprint is computed once and
-        // reused for quarantine, coalescing, the leader re-check and the
-        // insert. Only admitted content is ever cached, and the
-        // fingerprint carries the admission rules' version, so a hit
-        // replays without running admission again; its class is the one
-        // admission derived. An already-expired request skips the probe
-        // and is refused or answered dead on arrival below, exactly as
-        // if it had missed.
-        let fp = request_fingerprint(&service, property.as_ref(), req.mode, req.node_limit);
-        if !cancel.is_cancelled() {
-            if let Some(bytes) = self.cache.lock().expect("cache poisoned").get(fp) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(SubmitResult {
-                    fingerprint: fp,
-                    cache_hit: true,
-                    incremental: false,
-                    class: wave_core::classify::classify(&service).class(),
-                    shard: self.shard,
-                    coalesced_waiters: 0,
-                    outcome_bytes: bytes,
-                });
-            }
+    /// Stage 2. The content fingerprint is computed once and reused by
+    /// every later stage. Only admitted content is ever cached, and the
+    /// fingerprint carries the admission rules' version, so a hit
+    /// replays without running admission again; its class is the one
+    /// admission derived. An already-expired request skips the probe and
+    /// is refused or answered dead on arrival later, as if it had missed.
+    fn probe(&self, sub: &Submission, cancel: &CancelToken) -> ControlFlow<Answer, Fingerprint> {
+        let (service, req) = (&sub.service, sub.req);
+        let fp = request_fingerprint(service, sub.property.as_ref(), req.mode, req.node_limit);
+        if cancel.is_cancelled() {
+            return Continue(fp);
         }
+        let hit = self.cache.lock().expect("cache poisoned").get(fp);
+        match hit {
+            Some(bytes) => {
+                let class = wave_core::classify::classify(service).class();
+                Break(Answer(Outcome::Hit, Reply::of(fp, class, 0, Ok(bytes))))
+            }
+            None => Continue(fp),
+        }
+    }
 
-        // Admission control: static analysis gates every miss *before*
-        // the worker pool — an inadmissible submit never consumes cache
-        // space or verification budget. Only the lint passes that can
-        // refuse run here; a refusal carries the full lint report.
-        let class = match admit(&service, Some(&sources), property.as_ref()) {
-            Ok(class) => class,
+    /// Stage 3. Static analysis gates every miss *before* the worker
+    /// pool, so an inadmissible submit never consumes cache space or
+    /// verification budget. Only the lint passes that can refuse run
+    /// here; a refusal carries the full lint report.
+    fn admit(&self, sub: &Submission) -> ControlFlow<Answer, ServiceClass> {
+        match precheck::admit(&sub.service, Some(&sub.sources), sub.property.as_ref()) {
+            Ok(class) => Continue(class),
             Err(pre) => {
-                self.counters
-                    .admission_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::NotAdmissible {
+                let refusal = SubmitError::NotAdmissible {
                     class: pre.class,
                     reason: pre
                         .refusal()
                         .expect("admit refuses only inadmissible requests"),
                     report_json: pre.report.to_json(),
-                });
+                };
+                Break(Answer(Outcome::Admission, Err(refusal)))
             }
-        };
+        }
+    }
 
-        // Dead on arrival: a deadline that expired before we even got
-        // here can never produce an answer — refuse to spend a cache
-        // probe, a queue slot or a worker wakeup on it. The synthetic
-        // outcome is never cached (it carries the all-zero fingerprint,
-        // which no real request content produces).
+    /// Stage 4. An expired deadline can never produce an answer: it gets
+    /// no queue slot, and its synthetic outcome carries the all-zero
+    /// fingerprint, which no real request content produces. Then a
+    /// fingerprint that keeps panicking workers is answered `Poisoned`
+    /// instead of being handed to yet another worker. Both come after
+    /// the cache, so a once-successful outcome still replays.
+    fn dead_or_quarantined(
+        &self,
+        fp: Fingerprint,
+        class: ServiceClass,
+        cancel: &CancelToken,
+    ) -> ControlFlow<Answer> {
         if cancel.is_cancelled() {
-            self.counters
-                .dead_on_arrival
-                .fetch_add(1, Ordering::Relaxed);
-            let outcome = VerifyOutcome {
-                verdict: Verdict::Cancelled,
-                stats: SearchStats::default(),
-            };
-            return Ok(SubmitResult {
-                fingerprint: Fingerprint(0),
-                cache_hit: false,
-                incremental: false,
-                class,
-                shard: self.shard,
-                coalesced_waiters: 0,
-                outcome_bytes: outcome_to_json(&outcome).encode().into_bytes(),
-            });
+            let reply = Reply::of(Fingerprint(0), class, 0, Ok(synthetic(Verdict::Cancelled)));
+            return Break(Answer(Outcome::DeadOnArrival, reply));
         }
-
-        // Quarantine: a fingerprint that keeps panicking workers is
-        // answered with the typed poisoned verdict instead of being
-        // handed to yet another worker. Checked after the cache, so a
-        // once-successful outcome still replays.
         if self.is_quarantined(fp) {
-            self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-            let outcome = VerifyOutcome {
-                verdict: Verdict::Poisoned,
-                stats: SearchStats::default(),
-            };
-            return Ok(SubmitResult {
-                fingerprint: fp,
-                cache_hit: false,
-                incremental: false,
-                class,
-                shard: self.shard,
-                coalesced_waiters: 0,
-                outcome_bytes: outcome_to_json(&outcome).encode().into_bytes(),
-            });
+            let reply = Reply::of(fp, class, 0, Ok(synthetic(Verdict::Poisoned)));
+            return Break(Answer(Outcome::Quarantined, reply));
         }
+        Continue(())
+    }
 
-        // Coalesce point: an identical fingerprint already in flight
-        // means this submission becomes a follower of that run instead
-        // of verifying again. Joining increments the slot's waiter count
-        // *under the runs-map lock*; publishing removes the slot under
-        // the same lock first — so the count a publish reads is final.
+    /// Stage 5, the coalesce point. An identical fingerprint already in
+    /// flight makes this submission a follower of that run. Joining
+    /// increments the slot's waiter count *under the runs-map lock*, and
+    /// publishing removes the slot under the same lock first, so the
+    /// count a publish reads is final. The leader then re-checks the
+    /// cache: a previous leader may have cached this very fingerprint
+    /// since our miss, and serving it closes that race.
+    fn join_or_lead(
+        &self,
+        fp: Fingerprint,
+        class: ServiceClass,
+        cancel: &CancelToken,
+    ) -> ControlFlow<Answer, LeaderGuard<'_>> {
         let slot = {
             let mut runs = self.runs.lock().expect("runs poisoned");
             match runs.entry(fp.0) {
@@ -772,201 +839,131 @@ impl Engine {
                     let slot = Arc::clone(o.get());
                     slot.waiters.fetch_add(1, Ordering::SeqCst);
                     drop(runs);
-                    return self.wait_coalesced(fp, class, &cancel, &slot);
+                    let reply = self.wait_coalesced(fp, class, cancel, &slot);
+                    return Break(Answer(Outcome::Coalesced, reply));
                 }
-                Entry::Vacant(v) => {
-                    let slot = RunSlot::new();
-                    v.insert(Arc::clone(&slot));
-                    slot
-                }
+                Entry::Vacant(v) => Arc::clone(v.insert(Arc::default())),
             }
         };
         let mut leader = LeaderGuard {
             engine: self,
             fp,
-            slot: Arc::clone(&slot),
+            class,
+            slot,
             published: false,
         };
-
-        // Leader re-check: between our cache miss and winning the slot,
-        // a previous leader may have finished and cached this very
-        // fingerprint. Serving from the cache here closes the race that
-        // would otherwise verify one cold fingerprint twice.
-        if let Some(bytes) = self.cache.lock().expect("cache poisoned").get(fp) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let waiters = leader.publish(Ok(bytes.clone()));
-            return Ok(SubmitResult {
-                fingerprint: fp,
-                cache_hit: true,
-                incremental: false,
-                class,
-                shard: self.shard,
-                coalesced_waiters: waiters,
-                outcome_bytes: bytes,
-            });
+        let hit = self.cache.lock().expect("cache poisoned").get(fp);
+        match hit {
+            Some(bytes) => Break(Answer(Outcome::Hit, leader.reply(Ok(bytes)))),
+            None => Continue(leader),
         }
-
-        // Incremental tier probe (LTL only — `is_error_free` never
-        // slices, so it never uses the tiers): key the verdict tier by
-        // exactly the cone-sliced service the search would consume. An
-        // edit the property cannot observe leaves the slice — and the
-        // key — unchanged, so the prior verdict replays here without
-        // consuming any search budget. The synthesized outcome carries
-        // the fresh slice report and `incremental: true`; it is cached
-        // under the submission's own *full* fingerprint, so later
-        // identical submissions are plain cache hits and fleet
-        // replication ships it like any cold result. Probed after
-        // admission: `admit` already refused anything the verifier
-        // would.
-        let tier = property.as_ref().map(|p| {
-            let sliced = wave_core::slice::slice(&service, p);
-            (
-                crate::tiers::verdict_tier_key(&sliced.service, p, req.node_limit),
-                sliced.report,
-            )
-        });
-        if let Some((key, report)) = &tier {
-            if let Some(verdict) = self.tiers.probe_verdict(*key) {
-                self.counters
-                    .incremental_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let outcome = VerifyOutcome {
-                    verdict,
-                    stats: SearchStats {
-                        sliced_rules: report.sliced_rules(),
-                        sliced_relations: report.sliced_relations(),
-                        incremental: true,
-                        ..SearchStats::default()
-                    },
-                };
-                let bytes = outcome_to_json(&outcome).encode().into_bytes();
-                self.cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(fp, bytes.clone());
-                let waiters = leader.publish(Ok(bytes.clone()));
-                return Ok(SubmitResult {
-                    fingerprint: fp,
-                    cache_hit: false,
-                    incremental: true,
-                    class,
-                    shard: self.shard,
-                    coalesced_waiters: waiters,
-                    outcome_bytes: bytes,
-                });
-            }
-            self.counters
-                .incremental_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let tier_key = tier.map(|(key, _)| key);
-        let result = self.run_cold(service, property, req, cancel, fp, tier_key);
-        let waiters = leader.publish(result.clone());
-        let bytes = result?;
-        Ok(SubmitResult {
-            fingerprint: fp,
-            cache_hit: false,
-            incremental: false,
-            class,
-            shard: self.shard,
-            coalesced_waiters: waiters,
-            outcome_bytes: bytes,
-        })
     }
 
     /// Blocks a follower on the leader's slot until the run publishes or
     /// the follower's own deadline expires. A follower that gives up is
-    /// answered with a synthetic `Cancelled` (never cached) — its clock
-    /// is its own; the leader keeps running for everyone else.
+    /// answered with a synthetic `Cancelled` (never cached): its clock
+    /// is its own, and the leader keeps running for everyone else.
     fn wait_coalesced(
         &self,
         fp: Fingerprint,
         class: ServiceClass,
         cancel: &CancelToken,
-        slot: &Arc<RunSlot>,
-    ) -> Result<SubmitResult, SubmitError> {
-        let mut state = slot.state.lock().expect("slot poisoned");
+        slot: &RunSlot,
+    ) -> Result<Reply, SubmitError> {
+        let mut state = slot.result.lock().expect("slot poisoned");
         loop {
-            match &*state {
-                SlotState::Done(result) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    let bytes = result.clone()?;
-                    return Ok(SubmitResult {
-                        fingerprint: fp,
-                        cache_hit: false,
-                        incremental: false,
-                        class,
-                        shard: self.shard,
-                        coalesced_waiters: slot.waiters.load(Ordering::SeqCst),
-                        outcome_bytes: bytes,
-                    });
-                }
-                SlotState::Pending => {
-                    if cancel.is_cancelled() {
-                        // Our deadline, not the run's: leave quietly.
-                        slot.waiters.fetch_sub(1, Ordering::SeqCst);
-                        self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        let outcome = VerifyOutcome {
-                            verdict: Verdict::Cancelled,
-                            stats: SearchStats::default(),
-                        };
-                        return Ok(SubmitResult {
-                            fingerprint: fp,
-                            cache_hit: false,
-                            incremental: false,
-                            class,
-                            shard: self.shard,
-                            coalesced_waiters: 0,
-                            outcome_bytes: outcome_to_json(&outcome).encode().into_bytes(),
-                        });
-                    }
-                    let (guard, _) = slot
-                        .cv
-                        .wait_timeout(state, Duration::from_millis(10))
-                        .expect("slot poisoned");
-                    state = guard;
-                }
+            if let Some(result) = &*state {
+                let waiters = slot.waiters.load(Ordering::SeqCst);
+                return Reply::of(fp, class, waiters, result.clone());
             }
+            if cancel.is_cancelled() {
+                slot.waiters.fetch_sub(1, Ordering::SeqCst);
+                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                return Reply::of(fp, class, 0, Ok(synthetic(Verdict::Cancelled)));
+            }
+            let ten_ms = Duration::from_millis(10);
+            state = slot
+                .cv
+                .wait_timeout(state, ten_ms)
+                .expect("slot poisoned")
+                .0;
         }
     }
 
-    /// The cold path: schedules the verification on the worker pool,
-    /// blocks for the result, and caches it (unless cancelled). A
-    /// conclusive verdict also populates the incremental verdict tier
-    /// under `tier_key`, and any automaton translated during the run is
-    /// journaled — even for cancelled runs, since the translation is a
-    /// pure function of the formula.
+    /// Stage 6, LTL only (`is_error_free` never slices). The verdict tier
+    /// is keyed by exactly the cone-sliced service the search would
+    /// consume, so after an edit the property cannot observe, the prior
+    /// verdict replays without a search. The outcome is cached under the
+    /// submission's *full* fingerprint, so later identical submissions
+    /// are plain hits and replication ships it like any cold result.
+    fn tier_probe(
+        &self,
+        leader: &mut LeaderGuard<'_>,
+        sub: &Submission,
+    ) -> ControlFlow<Answer, Option<Fingerprint>> {
+        let Some(property) = &sub.property else {
+            return Continue(None);
+        };
+        let sliced = wave_core::slice::slice(&sub.service, property);
+        let key = crate::tiers::verdict_tier_key(&sliced.service, property, sub.req.node_limit);
+        let Some(verdict) = self.tiers.probe_verdict(key) else {
+            self.counters
+                .incremental_misses
+                .fetch_add(1, Ordering::Relaxed);
+            return Continue(Some(key));
+        };
+        let bytes = encode(&VerifyOutcome {
+            verdict,
+            stats: SearchStats {
+                sliced_rules: sliced.report.sliced_rules(),
+                sliced_relations: sliced.report.sliced_relations(),
+                incremental: true,
+                ..SearchStats::default()
+            },
+        });
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        cache.insert(leader.fp, bytes.clone());
+        drop(cache);
+        Break(Answer(Outcome::Tier, leader.reply(Ok(bytes))))
+    }
+
+    /// Stage 7, the cold path: runs the verification on the worker pool,
+    /// keeps the result and publishes it to the followers. The
+    /// submission is in flight until the result is kept, so drain waits
+    /// for the cache write.
     fn run_cold(
         &self,
-        service: Service,
-        property: Option<Property>,
-        req: &VerifyRequest,
+        mut leader: LeaderGuard<'_>,
+        sub: Submission,
+        cancel: CancelToken,
+        tier_key: Option<Fingerprint>,
+    ) -> Result<Reply, SubmitError> {
+        let fp = leader.fp;
+        *self.inflight.lock().expect("inflight poisoned") += 1;
+        let inflight = InflightGuard(self);
+        let result = self.verify_on_pool(sub, cancel, fp);
+        let result = result.map(|outcome| self.keep_cold(fp, tier_key, &outcome));
+        drop(inflight);
+        leader.reply(result)
+    }
+
+    /// Schedules the verification on the already-armed token (queue wait
+    /// consumes the caller's deadline like every other stage) and blocks
+    /// for its outcome. A full queue refuses, and chaos can slam the door
+    /// at the same spot. A job that dies without reporting panicked its
+    /// worker (contained by the pool's `catch_unwind`): the strike is
+    /// recorded, and enough strikes quarantine the fingerprint.
+    fn verify_on_pool(
+        &self,
+        sub: Submission,
         cancel: CancelToken,
         fp: Fingerprint,
-        tier_key: Option<Fingerprint>,
-    ) -> Result<Vec<u8>, SubmitError> {
-        // Queue-full burst hook: chaos can slam the door exactly here.
-        if self.faults.decide(Hook::QueueSubmit, 0) == Fault::QueueFull {
-            self.counters
-                .queue_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull);
-        }
-
-        // In-flight from here: drain waits for us, however we exit.
-        *self.inflight.lock().expect("inflight poisoned") += 1;
-        let _inflight = InflightGuard(self);
-
-        // Schedule the verification on the already-armed token: queue
-        // wait consumes the caller's deadline like every other stage.
+    ) -> Result<VerifyOutcome, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        let mode = req.mode;
-        let node_limit = req.node_limit;
+        let (service, property, node_limit) = (sub.service, sub.property, sub.req.node_limit);
         let job_faults = self.faults.clone();
         let automata = self.tiers.automata();
-        let submitted = self.sched.submit(move || {
+        let job = move || {
             // Worker hook: chaos can panic or stall the job mid-run.
             match job_faults.decide(Hook::WorkerRun, 0) {
                 Fault::Panic => panic!("chaos: injected worker panic"),
@@ -979,64 +976,61 @@ impl Engine {
                 automata: Some(automata),
                 ..SymbolicOptions::default()
             };
-            let result = match mode {
-                Mode::Ltl => verify_ltl(
-                    &service,
-                    property.as_ref().expect("ltl mode carries a property"),
-                    &opts,
-                ),
-                Mode::ErrorFree => is_error_free(&service, &opts),
+            // Only LTL mode carries a property.
+            let result = match &property {
+                Some(property) => verify_ltl(&service, property, &opts),
+                None => is_error_free(&service, &opts),
             };
             let _ = tx.send(result);
-        });
-        if submitted.is_err() {
+        };
+        let door = self.faults.decide(Hook::QueueSubmit, 0);
+        if door == Fault::QueueFull || self.sched.submit(job).is_err() {
             self.counters
                 .queue_rejections
                 .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull);
         }
-
-        let outcome = match rx.recv() {
+        match rx.recv() {
             Err(_) => {
-                // The job died without reporting: its worker panicked
-                // (and was contained by the pool's catch_unwind). Record
-                // the strike; enough strikes quarantine the fingerprint.
                 let strikes = self.record_panic(fp);
-                return Err(SubmitError::Internal(format!(
+                Err(SubmitError::Internal(format!(
                     "verification job died (worker panic, strike {strikes}/{QUARANTINE_AFTER} \
                      toward quarantine)"
-                )));
+                )))
             }
-            Ok(r) => r.map_err(|e| SubmitError::Verifier(e.to_string()))?,
-        };
+            Ok(r) => r.map_err(|e| SubmitError::Verifier(e.to_string())),
+        }
+    }
 
-        self.counters
-            .sliced_rules_total
-            .fetch_add(outcome.stats.sliced_rules as u64, Ordering::Relaxed);
-        self.counters
-            .sliced_relations_total
-            .fetch_add(outcome.stats.sliced_relations as u64, Ordering::Relaxed);
-
-        // Populate the incremental tiers. The verdict tier refuses
-        // inconclusive verdicts itself; the automaton journal takes the
-        // run's translations regardless of how the search ended.
+    /// Keeps a cold outcome and returns its bytes: the verdict tier takes
+    /// conclusive verdicts, the automata translated during the run are
+    /// journaled however it ended (translation is a pure function of the
+    /// formula), and the bytes are cached unless the run was cancelled,
+    /// so a deadline-specific non-answer never shadows a later run.
+    fn keep_cold(
+        &self,
+        fp: Fingerprint,
+        tier_key: Option<Fingerprint>,
+        out: &VerifyOutcome,
+    ) -> Vec<u8> {
+        let c = &self.counters;
+        let (rules, relations) = (out.stats.sliced_rules, out.stats.sliced_relations);
+        c.sliced_rules_total
+            .fetch_add(rules as u64, Ordering::Relaxed);
+        c.sliced_relations_total
+            .fetch_add(relations as u64, Ordering::Relaxed);
         if let Some(key) = tier_key {
-            self.tiers.store_verdict(key, &outcome.verdict);
+            self.tiers.store_verdict(key, &out.verdict);
         }
         self.tiers.persist_pending_automata();
-
-        let bytes = outcome_to_json(&outcome).encode().into_bytes();
-        if outcome.verdict == Verdict::Cancelled {
-            // A deadline-specific non-answer: do not let it shadow a
-            // future run that might have time to finish.
-            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+        let bytes = encode(out);
+        if out.verdict == Verdict::Cancelled {
+            c.cancelled.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.cache
-                .lock()
-                .expect("cache poisoned")
-                .insert(fp, bytes.clone());
+            let mut cache = self.cache.lock().expect("cache poisoned");
+            cache.insert(fp, bytes.clone());
         }
-        Ok(bytes)
+        bytes
     }
 
     /// Installs a result shipped from another node's journal.
@@ -1079,7 +1073,7 @@ impl Engine {
                 outcome.verdict
             ));
         }
-        if outcome_to_json(&outcome).encode().as_bytes() != bytes {
+        if encode(&outcome) != bytes {
             return drop_it("replicated bytes are not canonical".into());
         }
         let mut cache = self.cache.lock().expect("cache poisoned");
@@ -1817,5 +1811,154 @@ mod tests {
         assert_eq!(e.counters.incremental_hits.load(Ordering::Relaxed), 0);
         assert_eq!(e.counters.incremental_misses.load(Ordering::Relaxed), 0);
         assert_eq!(e.tiers().verdict_hits() + e.tiers().verdict_misses(), 0);
+    }
+
+    /// Polls `cond` every 5 ms for up to 5 s.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        for _ in 0..1_000 {
+            if cond() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    /// `(submitted, sum of the outcome-class counters)`: equal when every
+    /// accepted submit landed in exactly one class.
+    fn ledger(c: &Counters) -> (u64, u64) {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let classes = [
+            &c.cache_hits,
+            &c.incremental_hits,
+            &c.coalesced,
+            &c.cache_misses,
+            &c.dead_on_arrival,
+            &c.admission_rejections,
+            &c.drain_rejections,
+            &c.load_shed,
+            &c.quarantined,
+        ];
+        (get(&c.submitted), classes.into_iter().map(get).sum())
+    }
+
+    #[test]
+    fn every_exit_lands_in_exactly_one_outcome_class() {
+        // Cold, hit, tier, dead on arrival, admission refusal and drain.
+        let plain = Engine::new(EngineOptions::default());
+        assert!(!plain.submit(&req("checkout_core", FIG2)).unwrap().cache_hit);
+        assert!(plain.submit(&req("checkout_core", FIG2)).unwrap().cache_hit);
+        assert!(
+            plain
+                .submit(&req("checkout_bench", FIG2))
+                .unwrap()
+                .incremental
+        );
+        let mut expired = req("full_site", "forall p q . G (!ship(p, q) | paid)");
+        expired.deadline_us = 1;
+        assert_eq!(plain.submit(&expired).unwrap().fingerprint, Fingerprint(0));
+        let refused = plain.submit(&req("unrestricted", "G s"));
+        assert!(matches!(refused, Err(SubmitError::NotAdmissible { .. })));
+        plain.begin_drain();
+        let drained = plain.submit(&req("toggle", "G (P | Q)"));
+        assert_eq!(drained, Err(SubmitError::Draining));
+
+        // Cold runs that lose their worker, then quarantine.
+        let panicky = Engine::new(EngineOptions {
+            faults: Faults::new(Arc::new(PanicEveryJob)),
+            ..EngineOptions::default()
+        });
+        let r = req("toggle", "G (P | Q)");
+        for _ in 0..QUARANTINE_AFTER {
+            assert!(matches!(panicky.submit(&r), Err(SubmitError::Internal(_))));
+        }
+        let poisoned = panicky.submit(&r).unwrap();
+        assert_eq!(decode(&poisoned.outcome_bytes).verdict, Verdict::Poisoned);
+
+        // One worker, a soft load limit of two and slow jobs: a leader, a
+        // follower that waits for it, a follower that leaves on its own
+        // deadline, a second leader queued behind the first, and a shed.
+        let busy = Arc::new(Engine::new(EngineOptions {
+            workers: 1,
+            soft_load_limit: 2,
+            faults: Faults::new(Arc::new(DelayEveryJob(Duration::from_millis(800)))),
+            ..EngineOptions::default()
+        }));
+        let spawn = |r: VerifyRequest| {
+            let e = Arc::clone(&busy);
+            std::thread::spawn(move || e.submit(&r))
+        };
+        let waiters = || {
+            let runs = busy.runs.lock().unwrap();
+            runs.values()
+                .map(|s| s.waiters.load(Ordering::SeqCst))
+                .sum::<u64>()
+        };
+        let leader = spawn(r.clone());
+        wait_for("the leader's job", || busy.running() == 1);
+        let follower = spawn(r.clone());
+        wait_for("the follower to join", || waiters() == 1);
+        let mut impatient = r.clone();
+        impatient.deadline_us = 200_000;
+        let left = busy.submit(&impatient).unwrap();
+        assert_eq!(decode(&left.outcome_bytes).verdict, Verdict::Cancelled);
+        assert_ne!(
+            left.fingerprint,
+            Fingerprint(0),
+            "joined, not dead on arrival"
+        );
+        assert_eq!(waiters(), 1, "the leader is still running");
+        let second = spawn(req("toggle", "F Q"));
+        wait_for("the second leader to queue", || busy.queued() == 1);
+        let shed = busy.submit(&req("toggle", "G P"));
+        assert!(
+            matches!(shed, Err(SubmitError::Overloaded { .. })),
+            "{shed:?}"
+        );
+        let lead = leader.join().unwrap().unwrap();
+        assert_eq!(lead.coalesced_waiters, 1);
+        assert_eq!(
+            follower.join().unwrap().unwrap().outcome_bytes,
+            lead.outcome_bytes
+        );
+        assert!(!second.join().unwrap().unwrap().cache_hit);
+
+        for (name, e) in [("plain", &plain), ("panicky", &panicky), ("busy", &*busy)] {
+            let (submitted, classes) = ledger(&e.counters);
+            assert_eq!(submitted, classes, "{name}: submitted vs outcome classes");
+        }
+        let c = &busy.counters;
+        assert_eq!(c.cache_misses.load(Ordering::Relaxed), 2);
+        assert_eq!(c.coalesced.load(Ordering::Relaxed), 2);
+        let cancelled = c.cancelled.load(Ordering::Relaxed);
+        assert_eq!(cancelled, 1, "a flag over the coalesced follower");
+        assert_eq!(c.load_shed.load(Ordering::Relaxed), 1);
+        assert_eq!(ledger(&plain.counters).0, 6);
+        assert_eq!(ledger(&panicky.counters).0, 3);
+        assert_eq!(ledger(&busy.counters).0, 5);
+    }
+
+    #[test]
+    fn quarantine_is_checked_after_the_cache() {
+        // Bytes installed for a quarantined fingerprint (here by
+        // replication) replay as a plain hit, not as `Poisoned`.
+        let r = req("toggle", "G (P | Q)");
+        let clean = Engine::new(EngineOptions::default()).submit(&r).unwrap();
+        let e = Engine::new(EngineOptions {
+            faults: Faults::new(Arc::new(PanicEveryJob)),
+            ..EngineOptions::default()
+        });
+        for _ in 0..QUARANTINE_AFTER {
+            assert!(matches!(e.submit(&r), Err(SubmitError::Internal(_))));
+        }
+        let poisoned = e.submit(&r).unwrap();
+        assert_eq!(decode(&poisoned.outcome_bytes).verdict, Verdict::Poisoned);
+        assert_eq!(poisoned.fingerprint, clean.fingerprint);
+        let installed = e.apply_replicated(clean.fingerprint, &clean.outcome_bytes);
+        assert_eq!(installed, Ok(true));
+        let hit = e.submit(&r).unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.outcome_bytes, clean.outcome_bytes);
+        assert_eq!(e.counters.quarantined.load(Ordering::Relaxed), 1);
     }
 }

@@ -18,7 +18,8 @@
 //!
 //! # Soundness
 //!
-//! A verdict-tier hit is sound because [`verify_ltl`] decides exactly
+//! A verdict-tier hit is sound because
+//! [`verify_ltl`](wave_verifier::symbolic::verify_ltl) decides exactly
 //! the sliced service: after admission it replaces the submitted
 //! service by `slice(service, property).service` and never looks back
 //! (slicing is verdict-preserving, DESIGN.md §12). Both the tier key

@@ -19,7 +19,7 @@ pub type CFact = (NameId, Vec<CSym>);
 
 /// A symbolic configuration.
 ///
-/// Page and relation names are interned [`NameId`]s, which follow name
+/// Page and relation names are interned `NameId`s, which follow name
 /// order, so the derived ordering is the ordering over names. The
 /// knowledge store and the state, action and `prev` sets are shared
 /// copy-on-write: configurations derived from one another point at the

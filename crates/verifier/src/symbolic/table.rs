@@ -51,12 +51,12 @@ pub enum CSymKind {
 /// representative is its smallest member, this makes "does this class
 /// contain a literal, and which?" an O(1) question: a class contains a
 /// literal iff its representative is one (see
-/// [`SymState::eq_status`](super::state::SymState::eq_status)).
+/// `SymState::eq_status`).
 ///
 /// # Name ids follow name order
 ///
 /// The table also interns every page and relation name of the service
-/// to a dense [`NameId`], numbering the sorted name set `0, 1, 2, …`.
+/// to a dense `NameId`, numbering the sorted name set `0, 1, 2, …`.
 /// Configurations key pages, facts and inputs by these ids, and their
 /// derived orderings are then exactly the orderings over the names —
 /// which is what keeps successor order, and so every verdict byte,
