@@ -7,7 +7,7 @@
 //! symbolic verifier never materializes its state space up front — in two
 //! flavours:
 //!
-//! * [`find_accepting_lasso`] / [`find_accepting_lasso_stats`]: nested DFS
+//! * [`find_accepting_lasso`] / [`find_accepting_lasso_stats_with`]: nested DFS
 //!   (Courcoubetis–Vardi–Wolper–Yannakakis);
 //! * [`find_accepting_scc`]: Tarjan SCC decomposition, returning a lasso
 //!   through the first accepting component.
@@ -262,28 +262,14 @@ where
     FS: FnMut(&N) -> Vec<N>,
     FA: Fn(&N) -> bool,
 {
-    find_accepting_lasso_stats(inits, succ, accepting, limit).0
+    find_accepting_lasso_stats_with(inits, succ, accepting, limit, &CancelToken::never()).0
 }
 
-/// [`find_accepting_lasso`] with the search counters.
-pub fn find_accepting_lasso_stats<N, FS, FA>(
-    inits: Vec<N>,
-    succ: FS,
-    accepting: FA,
-    limit: Option<usize>,
-) -> (SearchResult<N>, SearchStats)
-where
-    N: Clone + Eq + Hash + std::fmt::Debug,
-    FS: FnMut(&N) -> Vec<N>,
-    FA: Fn(&N) -> bool,
-{
-    find_accepting_lasso_stats_with(inits, succ, accepting, limit, &CancelToken::never())
-}
-
-/// [`find_accepting_lasso_stats`] with a cooperative [`CancelToken`]:
-/// the token is polled at every node expansion, and a fired token makes
-/// the search unwind with [`SearchResult::Cancelled`] — an inconclusive
-/// answer, like a budget hit, never a spurious "empty".
+/// [`find_accepting_lasso`] with the search counters and a cooperative
+/// [`CancelToken`]: the token is polled at every node expansion, and a
+/// fired token makes the search unwind with [`SearchResult::Cancelled`]
+/// — an inconclusive answer, like a budget hit, never a spurious
+/// "empty".
 pub fn find_accepting_lasso_stats_with<N, FS, FA>(
     inits: Vec<N>,
     succ: FS,
@@ -871,8 +857,13 @@ mod tests {
     fn stats_count_interning_and_memo_reuse() {
         // 0 -> 1 -> 2 -> 1 (acc 2): red DFS re-expands 2 and 1 via memo.
         let adj = [vec![1usize], vec![2], vec![1]];
-        let (r, stats) =
-            find_accepting_lasso_stats(vec![0usize], |u| adj[*u].clone(), |u| *u == 2, None);
+        let (r, stats) = find_accepting_lasso_stats_with(
+            vec![0usize],
+            |u| adj[*u].clone(),
+            |u| *u == 2,
+            None,
+            &CancelToken::never(),
+        );
         assert!(r.is_lasso());
         assert_eq!(stats.nodes_interned, 3);
         assert!(stats.dedup_hits >= 1, "2 -> 1 rediscovers 1");

@@ -1,12 +1,11 @@
-//! Reusable LTL→Büchi translations: a keyed automaton cache plus a
-//! deterministic byte codec for [`Buchi`].
+//! Reusable LTL→Büchi translations: a keyed, in-memory automaton cache.
 //!
 //! The GPVW translation ([`crate::ltl2buchi`]) is a pure, deterministic
 //! function of the formula, so an automaton can be cached under a
 //! canonical fingerprint of that formula and reused across
-//! verifications — including across process restarts when the host
-//! persists the encoded bytes (wave-serve journals them next to its
-//! result cache). The cache is keyed by an opaque `u128` so this crate
+//! verifications within one process. It is never persisted: a restart
+//! simply retranslates each formula once, which costs tens of
+//! microseconds. The cache is keyed by an opaque `u128` so this crate
 //! stays independent of the fingerprinting layer: the *caller* is
 //! responsible for a key that uniquely determines the formula handed to
 //! `translate`.
@@ -16,150 +15,22 @@
 //! does not depend on how much of the search completed.
 //!
 //! A translation the tableau budget refuses
-//! ([`TranslateError::TooLarge`]) is remembered too, in memory only:
-//! the refusal is as deterministic as an automaton, so the same formula
-//! sent against another service or another node budget is refused
-//! without re-running the tableau. It is not journaled, because it
-//! depends on the build's [`MAX_TABLEAU_NODES`](crate::ltl2buchi::MAX_TABLEAU_NODES)
-//! as well as the formula. A [`TranslateError::Cancelled`] says nothing
-//! about the formula and is never remembered.
+//! ([`TranslateError::TooLarge`]) is remembered too: the refusal is as
+//! deterministic as an automaton, so the same formula sent against
+//! another service or another node budget is refused without re-running
+//! the tableau. A [`TranslateError::Cancelled`] says nothing about the
+//! formula and is never remembered.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::buchi::{Buchi, Guard};
+use crate::buchi::Buchi;
 use crate::ltl2buchi::TranslateError;
-use crate::props::{PropId, PropSet};
-
-impl Buchi {
-    /// Encodes the automaton into a deterministic, self-delimiting byte
-    /// string: equal automata (with normalized [`PropSet`]s, which the
-    /// translation always produces) encode to equal bytes, so the
-    /// encoding is safe to content-address and to compare.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        let push_set = |out: &mut Vec<u8>, s: &PropSet| {
-            let ids: Vec<PropId> = s.iter().collect();
-            push_u64(out, ids.len() as u64);
-            for id in ids {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-        };
-        push_u64(&mut out, self.guard.len() as u64);
-        for g in &self.guard {
-            push_set(&mut out, &g.pos);
-            push_set(&mut out, &g.neg);
-        }
-        for succ in &self.succ {
-            push_u64(&mut out, succ.len() as u64);
-            for &s in succ {
-                push_u64(&mut out, s as u64);
-            }
-        }
-        push_u64(&mut out, self.initial.len() as u64);
-        for &q in &self.initial {
-            push_u64(&mut out, q as u64);
-        }
-        for &a in &self.accepting {
-            out.push(a as u8);
-        }
-        out
-    }
-
-    /// Decodes an automaton previously produced by
-    /// [`Buchi::to_bytes`]. Returns `None` — never a malformed
-    /// automaton — on any damage: truncation, trailing garbage, a state
-    /// index out of range, or an invalid accepting flag. A `None` means
-    /// the caller falls back to retranslating, which is always correct.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Buchi> {
-        struct Cur<'a>(&'a [u8]);
-        impl Cur<'_> {
-            fn u64(&mut self) -> Option<u64> {
-                let (head, rest) = self.0.split_first_chunk::<8>()?;
-                self.0 = rest;
-                Some(u64::from_le_bytes(*head))
-            }
-            fn u32(&mut self) -> Option<u32> {
-                let (head, rest) = self.0.split_first_chunk::<4>()?;
-                self.0 = rest;
-                Some(u32::from_le_bytes(*head))
-            }
-            fn count(&mut self, width: usize) -> Option<usize> {
-                // A count that could not possibly fit in the remaining
-                // bytes is damage; checking here keeps allocations
-                // proportional to the input.
-                let n = self.u64()?;
-                let n = usize::try_from(n).ok()?;
-                (n.saturating_mul(width) <= self.0.len()).then_some(n)
-            }
-        }
-        let mut cur = Cur(bytes);
-        let n = cur.count(0)?;
-        if n.saturating_mul(2) > bytes.len() {
-            return None; // at least two set-count words per state
-        }
-        let read_set = |cur: &mut Cur| -> Option<PropSet> {
-            let len = cur.count(4)?;
-            let mut s = PropSet::new();
-            for _ in 0..len {
-                s.insert(cur.u32()?);
-            }
-            Some(s)
-        };
-        let mut guard = Vec::with_capacity(n);
-        for _ in 0..n {
-            guard.push(Guard {
-                pos: read_set(&mut cur)?,
-                neg: read_set(&mut cur)?,
-            });
-        }
-        let mut succ = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = cur.count(8)?;
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                let q = usize::try_from(cur.u64()?).ok()?;
-                (q < n).then_some(())?;
-                row.push(q);
-            }
-            succ.push(row);
-        }
-        let len = cur.count(8)?;
-        let mut initial = Vec::with_capacity(len);
-        for _ in 0..len {
-            let q = usize::try_from(cur.u64()?).ok()?;
-            (q < n).then_some(())?;
-            initial.push(q);
-        }
-        if cur.0.len() != n {
-            return None;
-        }
-        let mut accepting = Vec::with_capacity(n);
-        for &b in cur.0 {
-            accepting.push(match b {
-                0 => false,
-                1 => true,
-                _ => return None,
-            });
-        }
-        Some(Buchi {
-            guard,
-            succ,
-            initial,
-            accepting,
-        })
-    }
-}
 
 #[derive(Default)]
 struct Inner {
     map: HashMap<u128, Arc<Buchi>>,
-    /// Entries inserted by a translation since the last drain — the
-    /// host's persistence hook journals exactly these (seeded entries
-    /// came *from* the journal and must not be re-journaled forever).
-    pending: Vec<(u128, Arc<Buchi>)>,
     /// Keys whose translation the tableau budget refused.
     too_large: HashSet<u128>,
 }
@@ -188,15 +59,6 @@ impl AutomatonCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Installs a recovered automaton without marking it pending —
-    /// the load path for entries that already live in a journal.
-    /// Existing entries win (the translation is deterministic, so a
-    /// disagreement can only mean the seed is damaged).
-    pub fn seed(&self, key: u128, automaton: Buchi) {
-        let mut inner = self.inner.lock().expect("automaton cache poisoned");
-        inner.map.entry(key).or_insert_with(|| Arc::new(automaton));
     }
 
     /// The automaton for `key`, translating with `translate` on a miss.
@@ -246,15 +108,7 @@ impl AutomatonCache {
             return Ok(Arc::clone(a));
         }
         inner.map.insert(key, Arc::clone(&fresh));
-        inner.pending.push((key, Arc::clone(&fresh)));
         Ok(fresh)
-    }
-
-    /// Takes (and clears) the entries inserted by translations since
-    /// the last drain, for the host to persist.
-    pub fn drain_pending(&self) -> Vec<(u128, Arc<Buchi>)> {
-        let mut inner = self.inner.lock().expect("automaton cache poisoned");
-        std::mem::take(&mut inner.pending)
     }
 
     /// Number of cached automata (remembered refusals not included).
@@ -285,6 +139,8 @@ impl AutomatonCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buchi::Guard;
+    use crate::props::PropSet;
 
     fn sample() -> Buchi {
         Buchi {
@@ -302,53 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_codec_round_trips() {
-        let a = sample();
-        let bytes = a.to_bytes();
-        let b = Buchi::from_bytes(&bytes).expect("round trip");
-        assert_eq!(a.guard, b.guard);
-        assert_eq!(a.succ, b.succ);
-        assert_eq!(a.initial, b.initial);
-        assert_eq!(a.accepting, b.accepting);
-        assert_eq!(bytes, b.to_bytes(), "encoding is canonical");
-        // The empty automaton round-trips too.
-        let e = Buchi::default();
-        let eb = Buchi::from_bytes(&e.to_bytes()).expect("empty");
-        assert!(eb.is_empty());
-    }
-
-    #[test]
-    fn damaged_bytes_decode_to_none_never_a_wrong_automaton() {
-        let bytes = sample().to_bytes();
-        // Truncation at every prefix length.
-        for cut in 0..bytes.len() {
-            assert!(Buchi::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(Buchi::from_bytes(&long).is_none());
-        // An absurd count must not allocate or decode.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Buchi::from_bytes(&huge).is_none());
-        // An out-of-range successor index.
-        let bad = Buchi {
-            guard: vec![Guard::top()],
-            succ: vec![vec![0]],
-            initial: vec![0],
-            accepting: vec![false],
-        };
-        let mut enc = bad.to_bytes();
-        // succ index lives right after the two empty guard sets and the
-        // succ count; flip it to 7 (out of range for n = 1).
-        let idx = 8 + 16 + 8;
-        enc[idx] = 7;
-        assert!(Buchi::from_bytes(&enc).is_none());
-    }
-
-    #[test]
-    fn cache_hits_misses_and_pending_drain() {
+    fn cache_hits_and_misses() {
         let cache = AutomatonCache::new();
         let mut translations = 0u32;
         let a = cache.get_or_insert(42, || {
@@ -363,16 +173,7 @@ mod tests {
         assert_eq!(translations, 1, "second lookup must not retranslate");
         assert_eq!(cache.hits(), 1);
         assert!(Arc::ptr_eq(&a, &b));
-        let pending = cache.drain_pending();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, 42);
-        assert!(cache.drain_pending().is_empty(), "drain clears");
-        // Seeded entries never show up as pending.
-        cache.seed(7, sample());
-        assert!(cache.drain_pending().is_empty());
-        assert_eq!(cache.len(), 2);
-        cache.get_or_insert(7, || unreachable!("seeded key must hit"));
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -398,9 +199,8 @@ mod tests {
             too_large
         );
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
-        // Refusals are neither automata nor journal material.
+        // A refusal is not an automaton.
         assert!(cache.is_empty());
-        assert!(cache.drain_pending().is_empty());
 
         // A cancellation says nothing about the formula: the next
         // lookup translates again, and its automaton is cached.

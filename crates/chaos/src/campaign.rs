@@ -315,15 +315,13 @@ fn engine_run(
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(journal.with_extension("ndjson.tmp"));
     // Sibling artifacts the engine persists next to the result journal:
-    // the generation sidecar and the incremental-tier journals (each
-    // with its own sidecar and compaction temp).
+    // the generation sidecar and the verdict-tier journal (with its own
+    // sidecar and compaction temp).
     let _ = std::fs::remove_file(wave_serve::cache::generation_path(&journal));
-    for tier in ["verdicts", "buchi"] {
-        let t = journal.with_extension(format!("{tier}.ndjson"));
-        let _ = std::fs::remove_file(wave_serve::cache::generation_path(&t));
-        let _ = std::fs::remove_file(t.with_extension("ndjson.tmp"));
-        let _ = std::fs::remove_file(t);
-    }
+    let tier = journal.with_extension("verdicts.ndjson");
+    let _ = std::fs::remove_file(wave_serve::cache::generation_path(&tier));
+    let _ = std::fs::remove_file(tier.with_extension("ndjson.tmp"));
+    let _ = std::fs::remove_file(tier);
 }
 
 /// One wire sweep: a real TCP server wired to the plan's plane, driven

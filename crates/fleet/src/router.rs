@@ -177,11 +177,6 @@ impl Router {
         st.suspects.remove(&id);
     }
 
-    /// Members currently under heartbeat suspicion.
-    pub fn suspect_count(&self) -> usize {
-        self.state.lock().expect("router poisoned").suspects.len()
-    }
-
     /// The successors a node ships its journal to, as live handles.
     /// Deterministic in the member set, so replication converges: the
     /// R=1 successor relation is a single cycle over the members in id
@@ -262,7 +257,8 @@ impl Router {
     }
 
     /// Ships journal lines to one node through the validating
-    /// replication path, honoring the `FleetShip` fault hook.
+    /// replication path, honoring the `FleetShip` fault hook. Every
+    /// replay — join, retire, death — ships through here.
     fn ship_lines(&self, to: &NodeHandle, lines: &[String]) {
         if lines.is_empty() {
             return;
@@ -397,25 +393,8 @@ impl Router {
             return;
         };
         let (lines, _) = tail_lines(path, wave_serve::cache::JournalCursor::default());
-        if lines.is_empty() || survivors.is_empty() {
-            return;
-        }
-        let payload: usize = lines.iter().map(String::len).sum();
         for peer in survivors {
-            match self.faults.decide(Hook::FleetShip, payload) {
-                Fault::Delay(d) => std::thread::sleep(d),
-                // A dropped replay loses cached results, never answers:
-                // the new owner re-verifies cold. Safe to skip.
-                Fault::Drop => continue,
-                _ => {}
-            }
-            if let Ok(mut c) = TcpClient::connect_timeout(peer.addr, self.read_timeout) {
-                if let Ok((applied, _, _)) = c.replicate(&lines) {
-                    self.counters
-                        .replayed_records
-                        .fetch_add(applied, Ordering::Relaxed);
-                }
-            }
+            self.ship_lines(peer, &lines);
         }
     }
 

@@ -329,73 +329,6 @@ impl ResultCache {
         self.generation
     }
 
-    /// Every cached entry, in unspecified order, without refreshing
-    /// recency. The incremental tier store uses this to seed in-memory
-    /// indices (e.g. the automaton cache) from a freshly loaded journal.
-    pub fn entries(&self) -> impl Iterator<Item = (Fingerprint, &[u8])> {
-        self.map
-            .iter()
-            .map(|(fp, (bytes, _))| (Fingerprint(*fp), bytes.as_slice()))
-    }
-
-    /// Complete (newline-terminated) journal lines starting at the
-    /// cursor, plus the cursor just past the last complete line — the
-    /// fleet shipper's incremental tail. A cursor from an older
-    /// generation restarts from byte zero: compaction rewrote the file,
-    /// so a byte offset into the old content is meaningless even when
-    /// later appends have regrown the file past it (resuming there
-    /// would silently skip the records between the rewrite start and
-    /// the stale offset). An offset past the end of the file also
-    /// restarts — a belt-and-braces guard for journals without a
-    /// generation sidecar. Without persistence, synthesizes the
-    /// compacted journal, stamped with the mutation tick as its
-    /// generation: any get/insert reorders the synthetic content, so
-    /// any change restarts the export (over-shipping is idempotent on
-    /// the receiver; skipping is not).
-    pub fn export_journal_lines(&self, cursor: JournalCursor) -> (Vec<String>, JournalCursor) {
-        let (data, generation) = match &self.persist {
-            Some(path) => match std::fs::read(path) {
-                Ok(d) => (d, self.generation),
-                Err(_) => {
-                    return (
-                        Vec::new(),
-                        JournalCursor {
-                            generation: self.generation,
-                            offset: 0,
-                        },
-                    )
-                }
-            },
-            None => (self.compacted_journal().into_bytes(), self.tick),
-        };
-        let stale = cursor.generation != generation || cursor.offset > data.len();
-        let mut at = if stale { 0 } else { cursor.offset };
-        let mut lines = Vec::new();
-        while let Some(pos) = data[at..].iter().position(|&b| b == b'\n') {
-            let raw = &data[at..at + pos];
-            at += pos + 1;
-            let raw = match raw {
-                [head @ .., b'\r'] => head,
-                other => other,
-            };
-            if raw.is_empty() {
-                continue;
-            }
-            // Damaged (non-UTF-8) lines are skipped here and fail the
-            // CRC frame on the receiver anyway.
-            if let Ok(s) = std::str::from_utf8(raw) {
-                lines.push(s.to_string());
-            }
-        }
-        (
-            lines,
-            JournalCursor {
-                generation,
-                offset: at,
-            },
-        )
-    }
-
     /// Looks up a fingerprint, refreshing its recency. Returns the
     /// stored bytes verbatim.
     pub fn get(&mut self, fp: Fingerprint) -> Option<Vec<u8>> {
@@ -787,62 +720,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn export_cursor_restarts_after_compaction_even_when_file_regrows() {
-        let (dir, path) = temp_path("gencursor");
-        let val = |n: usize| format!("{{\"v\":{}}}", 1000 + n).into_bytes(); // 10 bytes
-        let mut c = ResultCache::new(4096).with_persistence(path.clone());
-        // Insert then refresh every entry: the journal holds 8 lines, 4
-        // of them dead duplicates.
-        for i in 0..4 {
-            c.insert(fp(i), val(i as usize));
-        }
-        for i in 0..4 {
-            c.insert(fp(i), val(i as usize));
-        }
-        // Tail to the end: the cursor now sits past the dead lines.
-        let (first, cur) = c.export_journal_lines(JournalCursor::default());
-        assert_eq!(first.len(), 8);
-        assert_eq!(cur.generation, c.generation());
-        // Compact (drops the 4 dead lines, shrinking below the cursor),
-        // then insert enough fresh entries to regrow the file PAST the
-        // stale offset — the exact shape the length-only check missed.
-        c.compact_now();
-        let shrunk = std::fs::metadata(&path).unwrap().len() as usize;
-        assert!(
-            shrunk < cur.offset,
-            "compaction must shrink below the cursor"
-        );
-        for i in 4..12 {
-            c.insert(fp(i), val(i as usize));
-        }
-        assert!(
-            std::fs::metadata(&path).unwrap().len() as usize > cur.offset,
-            "appends must regrow the file past the stale offset"
-        );
-        // The stale cursor must restart at zero: every live record ships.
-        let (again, cur2) = c.export_journal_lines(cur);
-        let shipped: std::collections::HashSet<u128> = again
-            .iter()
-            .filter_map(|l| decode_journal_line(l))
-            .map(|(f, _)| f.0)
-            .collect();
-        for i in 0..12u128 {
-            assert!(shipped.contains(&i), "record {i} skipped after compaction");
-        }
-        assert_eq!(cur2.generation, c.generation());
-        assert!(
-            cur2.generation > cur.generation,
-            "compaction bumps generation"
-        );
-        // And the sidecar agrees, so out-of-process tailers see it too.
-        assert_eq!(read_generation(&path), c.generation());
-        // A repeat tail from the fresh cursor ships nothing twice.
-        let (nothing, _) = c.export_journal_lines(cur2);
-        assert!(nothing.is_empty());
-        cleanup(&dir, &path);
     }
 
     #[test]

@@ -1003,10 +1003,9 @@ impl Engine {
     }
 
     /// Keeps a cold outcome and returns its bytes: the verdict tier takes
-    /// conclusive verdicts, the automata translated during the run are
-    /// journaled however it ended (translation is a pure function of the
-    /// formula), and the bytes are cached unless the run was cancelled,
-    /// so a deadline-specific non-answer never shadows a later run.
+    /// conclusive verdicts, and the bytes are cached unless the run was
+    /// cancelled, so a deadline-specific non-answer never shadows a
+    /// later run.
     fn keep_cold(
         &self,
         fp: Fingerprint,
@@ -1022,7 +1021,6 @@ impl Engine {
         if let Some(key) = tier_key {
             self.tiers.store_verdict(key, &out.verdict);
         }
-        self.tiers.persist_pending_automata();
         let bytes = encode(out);
         if out.verdict == Verdict::Cancelled {
             c.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -1088,19 +1086,6 @@ impl Engine {
             .replicated_applied
             .fetch_add(1, Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Snapshot of the cache journal's complete CRC-framed lines, for
-    /// the fleet shipper. The cursor skips an already-shipped prefix;
-    /// returns the lines plus the advanced cursor. A cursor from an
-    /// older journal generation (compaction rewrote the file) restarts
-    /// from byte zero — see [`crate::cache::JournalCursor`].
-    pub fn export_journal(
-        &self,
-        cursor: crate::cache::JournalCursor,
-    ) -> (Vec<String>, crate::cache::JournalCursor) {
-        let cache = self.cache.lock().expect("cache poisoned");
-        cache.export_journal_lines(cursor)
     }
 }
 
@@ -1799,6 +1784,70 @@ mod tests {
         assert!(out.stats.nodes_interned > 0, "a real search ran");
         assert_eq!(e.counters.incremental_hits.load(Ordering::Relaxed), 0);
         assert_eq!(e.counters.incremental_misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn restart_retranslates_the_automaton_once_and_journals_none() {
+        let dir = std::env::temp_dir().join(format!("wave-engine-restart-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("cache.ndjson");
+        let persisted = || {
+            Engine::new(EngineOptions {
+                persist: Some(journal.clone()),
+                ..EngineOptions::default()
+            })
+        };
+        let (service, sources) =
+            registry::resolve_with_sources("checkout_bench").expect("registered");
+        let r = req("checkout_bench", FIG2);
+        let e = persisted();
+        let cold = e
+            .submit_service(service.clone(), sources.clone(), &r)
+            .unwrap();
+        assert!(decode(&cold.outcome_bytes).holds());
+        drop(e);
+
+        // The same in-cone edit as above, on a fresh engine over the same
+        // journal: neither the result cache nor the verdict tier can
+        // answer, and the automaton tier starts empty.
+        let mut edited = service;
+        edited
+            .pages
+            .get_mut("UPP")
+            .expect("UPP page")
+            .action_rules
+            .clear();
+        let e = persisted();
+        let res = e.submit_service(edited.clone(), sources, &r).unwrap();
+        assert!(!res.cache_hit && !res.incremental);
+        assert_eq!(e.tiers().verdict_misses(), 1);
+        assert_eq!(e.tiers().automaton_misses(), 1, "translated once");
+        let property = parse_property(FIG2).unwrap();
+        let scratch = verify_ltl(&edited, &property, &SymbolicOptions::default()).unwrap();
+        assert_eq!(
+            crate::codec::verdict_to_json(&decode(&res.outcome_bytes).verdict).encode(),
+            crate::codec::verdict_to_json(&scratch.verdict).encode()
+        );
+        drop(e);
+
+        // Only the result journal and the verdict-tier journal (with
+        // their generation sidecars) are on disk: no automaton journal.
+        let journals: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(journals.iter().any(|n| n == "cache.verdicts.ndjson"));
+        let expected = [
+            "cache.ndjson",
+            "cache.ndjson.gen",
+            "cache.verdicts.ndjson",
+            "cache.verdicts.ndjson.gen",
+        ];
+        assert!(
+            journals.iter().all(|n| expected.contains(&n.as_str())),
+            "{journals:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   formula's canonical fingerprint alone ([`buchi_key`]): the GPVW
 //!   translation is a pure function of the property, so it is reusable
 //!   across *every* service, and even across runs that were later
-//!   cancelled.
+//!   cancelled. It is an in-memory [`AutomatonCache`] only: a restart
+//!   retranslates each formula once, in tens of microseconds.
 //!
 //! # Soundness
 //!
@@ -40,22 +41,19 @@
 //!
 //! # Persistence and failure model
 //!
-//! Both tiers are plain [`ResultCache`]s, persisted as sibling
-//! CRC-framed journals next to the engine's result journal
-//! (`*.verdicts.ndjson`, `*.buchi.ndjson`) with the same recovery and
-//! compaction guarantees. Values are canonical JSON — the verdict's
-//! wire encoding, and `{"buchi":"<hex>"}` wrapping the automaton's
-//! deterministic byte codec — so journaled bytes replay verbatim. A
-//! torn or corrupted tier line is dropped at load (CRC framing), a
-//! damaged value decodes to a miss: the worst a broken tier journal can
-//! cause is a cold run, never a wrong verdict.
+//! The verdict tier is a plain [`ResultCache`], persisted as a
+//! CRC-framed `*.verdicts.ndjson` journal next to the engine's result
+//! journal, with the same recovery and compaction guarantees. Values
+//! are the verdict's canonical wire encoding, so journaled bytes replay
+//! verbatim. A torn or corrupted tier line is dropped at load (CRC
+//! framing), a damaged value decodes to a miss: the worst a broken tier
+//! journal can cause is a cold run, never a wrong verdict.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wave_automata::store::AutomatonCache;
-use wave_automata::Buchi;
 use wave_core::service::Service;
 use wave_logic::fingerprint::{Canonical, Fingerprint, Fnv128};
 use wave_logic::temporal::Property;
@@ -92,13 +90,13 @@ pub fn verdict_tier_key(sliced: &Service, property: &Property, node_limit: usize
     Fingerprint(h.finish())
 }
 
-/// The two incremental tiers plus the shared automaton cache.
+/// The two incremental tiers: the verdict tier and the shared
+/// automaton cache.
 pub struct TierStore {
     /// Verdicts keyed by [`verdict_tier_key`].
     verdicts: Mutex<ResultCache>,
-    /// Journal backing for the automaton cache, keyed by [`buchi_key`].
-    buchi: Mutex<ResultCache>,
-    /// The in-memory automaton cache handed to every verification.
+    /// The automaton tier, keyed by [`buchi_key`] and handed to every
+    /// verification.
     automata: Arc<AutomatonCache>,
     /// Verdict-tier lookups answered without a search.
     verdict_hits: AtomicU64,
@@ -108,31 +106,18 @@ pub struct TierStore {
 
 impl TierStore {
     /// Builds the tier store. `persist` is the engine's *result*
-    /// journal path; the tiers journal to `.verdicts.ndjson` /
-    /// `.buchi.ndjson` siblings (extension replaced). Without
-    /// persistence the tiers still work in-memory — edits within one
-    /// process lifetime replay; restarts run cold.
-    ///
-    /// Any automaton recovered from the journal is decoded and seeded
-    /// into the in-memory cache up front; damaged entries are skipped
-    /// (the next lookup simply retranslates).
+    /// journal path; the verdict tier journals to its
+    /// `.verdicts.ndjson` sibling (extension replaced). Without
+    /// persistence the verdict tier still works in-memory — edits
+    /// within one process lifetime replay; restarts run cold.
     pub fn new(cache_bytes: usize, persist: Option<&Path>) -> TierStore {
         let mut verdicts = ResultCache::new(cache_bytes);
-        let mut buchi = ResultCache::new(cache_bytes);
         if let Some(path) = persist {
             verdicts = verdicts.with_persistence(path.with_extension("verdicts.ndjson"));
-            buchi = buchi.with_persistence(path.with_extension("buchi.ndjson"));
-        }
-        let automata = Arc::new(AutomatonCache::new());
-        for (fp, bytes) in buchi.entries() {
-            if let Some(a) = decode_buchi_value(bytes) {
-                automata.seed(fp.0, a);
-            }
         }
         TierStore {
             verdicts: Mutex::new(verdicts),
-            buchi: Mutex::new(buchi),
-            automata,
+            automata: Arc::new(AutomatonCache::new()),
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
         }
@@ -186,20 +171,9 @@ impl TierStore {
         tier.insert(key, bytes);
     }
 
-    /// Journals every automaton translated since the last call. Runs
-    /// after each verification — including cancelled ones: the
-    /// translation is a pure function of the formula, so it is valid
-    /// however the search ended.
-    pub fn persist_pending_automata(&self) {
-        let pending = self.automata.drain_pending();
-        if pending.is_empty() {
-            return;
-        }
-        let mut tier = self.buchi.lock().expect("automaton tier poisoned");
-        for (key, automaton) in pending {
-            tier.insert(Fingerprint(key), encode_buchi_value(&automaton));
-        }
-    }
+    /// Does nothing: the automaton tier lives in memory only. Kept so
+    /// existing callers still build; it goes when its last caller does.
+    pub fn persist_pending_automata(&self) {}
 
     /// Verdict-tier lookups answered without a search.
     pub fn verdict_hits(&self) -> u64 {
@@ -222,70 +196,10 @@ impl TierStore {
     }
 }
 
-/// Wraps an automaton's byte codec in canonical JSON, the only value
-/// shape the journal round-trips verbatim.
-fn encode_buchi_value(automaton: &Buchi) -> Vec<u8> {
-    let hex: String = automaton
-        .to_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    Json::Obj(vec![("buchi".into(), Json::str(hex))])
-        .encode()
-        .into_bytes()
-}
-
-/// Decodes a journaled automaton value; any damage yields `None` (the
-/// caller retranslates).
-fn decode_buchi_value(bytes: &[u8]) -> Option<Buchi> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let json = Json::parse(text).ok()?;
-    let hex = json.get("buchi")?.as_str()?.to_owned();
-    if hex.len() % 2 != 0 {
-        return None;
-    }
-    let raw: Option<Vec<u8>> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
-        .collect();
-    Buchi::from_bytes(&raw?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_automata::ltl2buchi::translate;
     use wave_logic::parser::parse_property;
-    use wave_verifier::abstraction::{to_pnf, FoAbstraction};
-
-    fn translated(text: &str) -> (u128, Buchi) {
-        let p = parse_property(text).unwrap();
-        let mut table = FoAbstraction::default();
-        let pnf = to_pnf(&p.body, true, &mut table).unwrap();
-        (buchi_key(&p), translate(&pnf))
-    }
-
-    #[test]
-    fn buchi_value_round_trips_and_rejects_damage() {
-        let (_, a) = translated("G (P | Q)");
-        let enc = encode_buchi_value(&a);
-        let back = decode_buchi_value(&enc).expect("round trip");
-        assert_eq!(back.to_bytes(), a.to_bytes());
-        assert!(decode_buchi_value(b"not json").is_none());
-        assert!(decode_buchi_value(b"{\"buchi\":\"zz\"}").is_none());
-        assert!(
-            decode_buchi_value(b"{\"buchi\":\"abc\"}").is_none(),
-            "odd hex"
-        );
-        assert!(decode_buchi_value(b"{}").is_none());
-        // Truncated payload: valid hex, damaged codec bytes.
-        let hex: String = a.to_bytes()[..4]
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        let torn = format!("{{\"buchi\":\"{hex}\"}}");
-        assert!(decode_buchi_value(torn.as_bytes()).is_none());
-    }
 
     #[test]
     fn verdict_tier_stores_conclusive_verdicts_only() {
@@ -311,33 +225,21 @@ mod tests {
     }
 
     #[test]
-    fn tiers_persist_and_reload_across_restarts() {
+    fn verdict_tier_persists_and_reloads_across_restarts() {
         let dir = std::env::temp_dir().join(format!("wave_tiers_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("node-0.ndjson");
-        let (key, a) = translated("F (P & X Q)");
         {
             let store = TierStore::new(64 * 1024, Some(&journal));
             store.store_verdict(Fingerprint(3), &Verdict::Holds { explored: 4 });
-            store.automata().get_or_insert(key, || a.clone());
-            store.persist_pending_automata();
         }
         assert!(journal.with_extension("verdicts.ndjson").exists());
-        assert!(journal.with_extension("buchi.ndjson").exists());
         {
             let store = TierStore::new(64 * 1024, Some(&journal));
             assert_eq!(
                 store.probe_verdict(Fingerprint(3)),
                 Some(Verdict::Holds { explored: 4 })
             );
-            // Seeded from the journal: the lookup hits without a
-            // translation, and seeded entries are not re-journaled.
-            let got = store
-                .automata()
-                .get_or_insert(key, || unreachable!("seeded key must hit"));
-            assert_eq!(got.to_bytes(), a.to_bytes());
-            store.persist_pending_automata();
-            assert_eq!(store.automata().hits(), 1);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -253,8 +253,8 @@ impl VerifyOutcome {
 
 /// The automaton-tier key for a property: a domain-tagged canonical
 /// fingerprint of exactly what the LTL→Büchi translation consumes.
-/// Public so hosts persisting the automaton tier (wave-serve) seed
-/// recovered entries under the same key [`verify_ltl`] will look up.
+/// Public so hosts that share an automaton cache (wave-serve) can
+/// fill or probe it under the same key [`verify_ltl`] will look up.
 pub fn buchi_key(property: &Property) -> u128 {
     use wave_logic::fingerprint::{Canonical, Fnv128};
     let mut h = Fnv128::new();
