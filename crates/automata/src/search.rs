@@ -4,22 +4,27 @@
 //! "some *periodic* run violates φ": an accepting cycle reachable from an
 //! initial node in the product of the system with the Büchi automaton for
 //! ¬φ. This module provides that search over *implicit* graphs — the
-//! symbolic verifier never materializes its state space up front — in two
+//! symbolic verifier never materializes its state space up front — in three
 //! flavours:
 //!
 //! * [`find_accepting_lasso`] / [`find_accepting_lasso_stats_with`]: nested DFS
 //!   (Courcoubetis–Vardi–Wolper–Yannakakis);
 //! * [`find_accepting_scc`]: Tarjan SCC decomposition, returning a lasso
-//!   through the first accepting component.
+//!   through the first accepting component;
+//! * [`breadth_first`]: layered reachability over a [`PrunedGraph`] (one
+//!   whose successor function drops subsumed nodes), for reachability of a
+//!   target or, when the accepting region is closed, for a lasso that
+//!   enters it and cycles inside it.
 //!
-//! Both operate on **interned node ids** ([`crate::interner::Interner`]):
-//! each distinct node is hashed once, visited sets are bit vectors, and
-//! successor generation is **memoized per node** — the red (inner) DFS of
-//! the nested search reuses the successor lists the blue (outer) DFS
-//! computed, instead of re-deriving them. [`SearchStats`] reports the
+//! All operate on **interned node ids** ([`crate::interner::Interner`]):
+//! each distinct node is hashed once and visited sets are bit vectors.
+//! The depth-first searches **memoize successor generation per node** —
+//! the red (inner) DFS of the nested search reuses the successor lists
+//! the blue (outer) DFS computed, instead of re-deriving them; the
+//! breadth-first search expands each node once and keeps no memo. [`SearchStats`] reports the
 //! interning, memoization, and timing counters.
 //!
-//! Node budgets are sound: exhausting `limit` — in either DFS phase —
+//! Node budgets are sound: exhausting `limit` — in any phase —
 //! always surfaces as [`SearchResult::LimitReached`], never as a spurious
 //! "empty" answer.
 
@@ -97,7 +102,8 @@ pub enum SearchResult<N> {
     },
     /// An accepting lasso was found: `stem` leads from an initial node to
     /// the cycle entry; `cycle` returns to the first node of itself and
-    /// contains an accepting node.
+    /// contains an accepting node. A [`Goal::Reach`] answer has an empty
+    /// `cycle` and a `stem` that ends at the target.
     Lasso {
         /// Path from an initial node to the start of the cycle (exclusive).
         stem: Vec<N>,
@@ -123,13 +129,12 @@ impl<N> SearchResult<N> {
     }
 }
 
-/// Shared machinery of both searches: the interner, the per-node
+/// Shared machinery of the searches: the interner, the per-node
 /// successor memo, the budget, and the cancellation token.
-struct Core<N, FS> {
+struct Core<N> {
     interner: Interner<N>,
     /// Successor ids per node id, computed at most once per node.
     memo: Vec<Option<Vec<u32>>>,
-    succ: FS,
     limit: Option<usize>,
     limit_hit: bool,
     cancel: CancelToken,
@@ -138,16 +143,14 @@ struct Core<N, FS> {
     memoized: usize,
 }
 
-impl<N, FS> Core<N, FS>
+impl<N> Core<N>
 where
     N: Clone + Eq + Hash,
-    FS: FnMut(&N) -> Vec<N>,
 {
-    fn new(succ: FS, limit: Option<usize>, cancel: &CancelToken) -> Self {
+    fn new(limit: Option<usize>, cancel: &CancelToken) -> Self {
         Core {
             interner: Interner::new(),
             memo: Vec::new(),
-            succ,
             limit,
             limit_hit: false,
             cancel: cancel.clone(),
@@ -157,36 +160,43 @@ where
         }
     }
 
-    fn intern(&mut self, node: N) -> u32 {
-        let (id, _) = self.interner.intern(node);
-        if self.memo.len() < self.interner.len() {
-            self.memo.resize(self.interner.len(), None);
-        }
+    /// Interns `node`; true when it is new. Exceeding the budget marks
+    /// the search stopped.
+    fn intern(&mut self, node: N) -> (u32, bool) {
+        let (id, new) = self.interner.intern(node);
         if let Some(l) = self.limit {
             if self.interner.len() > l {
                 self.limit_hit = true;
             }
         }
-        id
+        (id, new)
+    }
+
+    /// Expansion is the cancellation point: true when the token fired,
+    /// which also marks the search stopped.
+    fn poll_cancel(&mut self) -> bool {
+        self.cancel_hit |= self.cancel.is_cancelled();
+        self.cancel_hit
     }
 
     /// Successor ids of `id` — memoized, so the red DFS reuses lists the
-    /// blue DFS already derived. Expansion is the cancellation point:
-    /// the token is polled once per call.
-    fn succs(&mut self, id: u32) -> Vec<u32> {
-        if self.cancel.is_cancelled() {
-            self.cancel_hit = true;
+    /// blue DFS already derived. The token is polled once per call.
+    fn succs<FS>(&mut self, id: u32, succ: &mut FS) -> Vec<u32>
+    where
+        FS: FnMut(&N) -> Vec<N>,
+    {
+        if self.poll_cancel() {
             return Vec::new();
+        }
+        if self.memo.len() < self.interner.len() {
+            self.memo.resize(self.interner.len(), None);
         }
         if let Some(v) = &self.memo[id as usize] {
             self.memo_hits += 1;
             return v.clone();
         }
         let node = self.interner.get(id).clone();
-        let ids: Vec<u32> = (self.succ)(&node)
-            .into_iter()
-            .map(|k| self.intern(k))
-            .collect();
+        let ids: Vec<u32> = succ(&node).into_iter().map(|k| self.intern(k).0).collect();
         self.memo[id as usize] = Some(ids.clone());
         self.memoized += 1;
         ids
@@ -210,10 +220,10 @@ where
     }
 
     /// The outcome to report when [`Core::stopped`] fired. Cancellation
-    /// takes precedence: a cancelled search reports `Cancelled` even if
-    /// the budget was also exhausted.
+    /// takes precedence: a search whose token has fired reports
+    /// `Cancelled` even if the budget was also exhausted.
     fn stop_result<T>(&self) -> SearchResult<T> {
-        if self.cancel_hit {
+        if self.cancel_hit || self.cancel.is_cancelled() {
             SearchResult::Cancelled
         } else {
             SearchResult::LimitReached {
@@ -272,7 +282,7 @@ where
 /// "empty".
 pub fn find_accepting_lasso_stats_with<N, FS, FA>(
     inits: Vec<N>,
-    succ: FS,
+    mut succ: FS,
     accepting: FA,
     limit: Option<usize>,
     cancel: &CancelToken,
@@ -283,15 +293,14 @@ where
     FA: Fn(&N) -> bool,
 {
     let started = Instant::now();
-    let mut core = Core::new(succ, limit, cancel);
+    let mut core = Core::new(limit, cancel);
     let mut blue: Vec<bool> = Vec::new();
     let mut red: Vec<bool> = Vec::new();
     let mut blue_count = 0usize;
     let mut peak_depth = 0usize;
 
-    let init_ids: Vec<u32> = inits.into_iter().map(|n| core.intern(n)).collect();
-    if core.stopped() || core.cancel.is_cancelled() {
-        core.cancel_hit |= core.cancel.is_cancelled();
+    let init_ids: Vec<u32> = inits.into_iter().map(|n| core.intern(n).0).collect();
+    if core.poll_cancel() || core.stopped() {
         return (core.stop_result(), core.stats(peak_depth, started));
     }
 
@@ -301,7 +310,7 @@ where
         }
         mark(&mut blue, init);
         blue_count += 1;
-        let kids = core.succs(init);
+        let kids = core.succs(init, &mut succ);
         if core.stopped() {
             return (core.stop_result(), core.stats(peak_depth, started));
         }
@@ -322,7 +331,7 @@ where
                     mark(&mut blue, child);
                     blue_count += 1;
                     mark(&mut on_stack, child);
-                    let kids = core.succs(child);
+                    let kids = core.succs(child, &mut succ);
                     if core.stopped() {
                         return (core.stop_result(), core.stats(peak_depth, started));
                     }
@@ -337,7 +346,7 @@ where
                 // Post-order: if accepting, run the inner (red) DFS.
                 let nid = top.id;
                 if accepting(core.interner.get(nid)) && !has(&red, nid) {
-                    match red_dfs(&mut core, nid, &mut red, &on_stack) {
+                    match red_dfs(&mut core, &mut succ, nid, &mut red, &on_stack) {
                         RedOutcome::Cycle(path) => {
                             let (stem, cycle) = build_lasso(&core.interner, &stack, path);
                             return (
@@ -365,7 +374,9 @@ where
 }
 
 enum RedOutcome {
-    /// Id path `seed -> … -> t` where `t` is on the outer stack.
+    /// Id path `seed -> … -> t` where `t` closes a cycle: it is on the
+    /// outer stack (nested DFS), or earlier on the path itself
+    /// ([`breadth_first`]'s cycle search).
     Cycle(Vec<u32>),
     /// The node budget was exhausted (or the token cancelled) mid-phase —
     /// the answer is unknown, and must NOT be reported as "no cycle".
@@ -376,7 +387,8 @@ enum RedOutcome {
 /// Inner DFS from an accepting seed. Reuses the memoized successor lists,
 /// so re-expansion is free for nodes the blue DFS already visited.
 fn red_dfs<N, FS>(
-    core: &mut Core<N, FS>,
+    core: &mut Core<N>,
+    succ: &mut FS,
     seed: u32,
     red: &mut Vec<bool>,
     on_outer_stack: &[bool],
@@ -386,7 +398,7 @@ where
     FS: FnMut(&N) -> Vec<N>,
 {
     mark(red, seed);
-    let kids = core.succs(seed);
+    let kids = core.succs(seed, succ);
     if core.stopped() {
         return RedOutcome::Stopped;
     }
@@ -407,7 +419,7 @@ where
             }
             if !has(red, child) {
                 mark(red, child);
-                let kids = core.succs(child);
+                let kids = core.succs(child, succ);
                 if core.stopped() {
                     return RedOutcome::Stopped;
                 }
@@ -462,6 +474,283 @@ fn build_lasso<N: Clone>(
     )
 }
 
+/// The implicit graph [`breadth_first`] walks: a successor function that
+/// may prune, a target predicate, and the question whether a node the
+/// successor function kept is still admitted.
+pub trait PrunedGraph<N> {
+    /// The successors of `node` that survive pruning, in a deterministic
+    /// order.
+    fn successors(&mut self, node: &N) -> Vec<N>;
+    /// Whether `node` is a target.
+    fn is_target(&self, node: &N) -> bool;
+    /// False once a node this graph kept has been evicted by a weaker
+    /// one. The search skips an evicted node that is still waiting for
+    /// expansion; its evictor is expanded instead.
+    fn admitted(&self, node: &N) -> bool;
+}
+
+/// What [`breadth_first`] looks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Goal {
+    /// The first target reached. The answer is a [`SearchResult::Lasso`]
+    /// whose `stem` ends at the target and whose `cycle` is empty.
+    Reach,
+    /// A reachable target from which a cycle of targets is reachable
+    /// through targets only: an accepting lasso that stays accepting
+    /// once it enters the target region.
+    Lasso,
+}
+
+/// DFS colours of target nodes in [`breadth_first`]'s cycle search.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Colour {
+    White,
+    /// On the current DFS stack.
+    Grey,
+    /// Fully explored: no cycle is reachable from it.
+    Black,
+}
+
+/// Layered breadth-first search over a pruned graph.
+///
+/// Non-target nodes are expanded layer by layer in discovery order, so
+/// the shallow (weak) nodes of an antichain-pruned graph are admitted
+/// before the deep ones they subsume; a queued node evicted before its
+/// turn is skipped. Every newly discovered target answers [`Goal::Reach`]
+/// at once. For [`Goal::Lasso`] it starts a depth-first search for a
+/// cycle that follows target successors only; a target with no such
+/// cycle lets the breadth-first search resume, and everything that
+/// depth-first search explored is known cycle-free from then on. The
+/// answer's stem follows breadth-first parents to the target and the
+/// depth-first stack after it, so it is a path of the graph.
+///
+/// Complete for [`Goal::Lasso`] when the successors of a target are all
+/// targets (a safety-shaped Büchi automaton's accepting region). The
+/// budget and the token are checked as in [`find_accepting_lasso`]: the
+/// token at every expansion, the budget at every interned node, and a
+/// fired token outranks an exhausted budget. A target whose interning
+/// exhausts the budget still answers [`Goal::Reach`].
+/// `Empty { explored }` counts expanded nodes.
+pub fn breadth_first<N, G>(
+    inits: Vec<N>,
+    graph: &mut G,
+    goal: Goal,
+    limit: Option<usize>,
+    cancel: &CancelToken,
+) -> (SearchResult<N>, SearchStats)
+where
+    N: Clone + Eq + Hash,
+    G: PrunedGraph<N>,
+{
+    let started = Instant::now();
+    let mut bfs = Bfs {
+        core: Core::new(limit, cancel),
+        graph,
+        goal,
+        parent: Vec::new(),
+        colour: Vec::new(),
+        peak: 0,
+    };
+    let mut frontier = Vec::new();
+    for node in inits {
+        match bfs.discover(None, node) {
+            Discovery::Queue(id) => frontier.push(id),
+            Discovery::Seen => {}
+            Discovery::Answer(result) => return (result, bfs.stats(started)),
+        }
+    }
+    while !frontier.is_empty() {
+        bfs.peak = bfs.peak.max(frontier.len());
+        let mut next = Vec::new();
+        for u in frontier {
+            if !bfs.graph.admitted(bfs.core.interner.get(u)) {
+                continue;
+            }
+            let Some(kids) = bfs.expand(u) else {
+                return (bfs.core.stop_result(), bfs.stats(started));
+            };
+            for kid in kids {
+                match bfs.discover(Some(u), kid) {
+                    Discovery::Queue(id) => next.push(id),
+                    Discovery::Seen => {}
+                    Discovery::Answer(result) => return (result, bfs.stats(started)),
+                }
+            }
+        }
+        frontier = next;
+    }
+    let explored = bfs.core.memoized;
+    (SearchResult::Empty { explored }, bfs.stats(started))
+}
+
+/// The state of one [`breadth_first`] search.
+struct Bfs<'g, N, G> {
+    core: Core<N>,
+    graph: &'g mut G,
+    goal: Goal,
+    /// Breadth-first parent per node id (`None`: initial, or reached by
+    /// a cycle search only).
+    parent: Vec<Option<u32>>,
+    colour: Vec<Colour>,
+    /// Widest layer or deepest cycle-search stack.
+    peak: usize,
+}
+
+/// What [`Bfs::discover`] made of a derived node.
+enum Discovery<N> {
+    /// New and not a target: expand it in the next layer.
+    Queue(u32),
+    /// Seen before, or a target without a cycle.
+    Seen,
+    /// The search is over.
+    Answer(SearchResult<N>),
+}
+
+impl<N, G> Bfs<'_, N, G>
+where
+    N: Clone + Eq + Hash,
+    G: PrunedGraph<N>,
+{
+    fn stats(&self, started: Instant) -> SearchStats {
+        self.core.stats(self.peak, started)
+    }
+
+    /// Handles `node`, derived from `from`.
+    fn discover(&mut self, from: Option<u32>, node: N) -> Discovery<N> {
+        let (id, new) = self.core.intern(node);
+        if !new {
+            return Discovery::Seen;
+        }
+        let i = id as usize;
+        if self.parent.len() <= i {
+            self.parent.resize(i + 1, None);
+        }
+        self.parent[i] = from;
+        if self.graph.is_target(self.core.interner.get(id)) {
+            if self.goal == Goal::Reach {
+                return Discovery::Answer(self.lasso(id, vec![id], 1));
+            }
+            if self.core.stopped() {
+                return Discovery::Answer(self.core.stop_result());
+            }
+            return match self.cycle(id) {
+                RedOutcome::Cycle(mut path) => {
+                    let t = path.pop().expect("a cycle path is nonempty");
+                    let entry = path
+                        .iter()
+                        .position(|&n| n == t)
+                        .expect("the closing node is on the path");
+                    Discovery::Answer(self.lasso(id, path, entry))
+                }
+                RedOutcome::NoCycle => Discovery::Seen,
+                RedOutcome::Stopped => Discovery::Answer(self.core.stop_result()),
+            };
+        }
+        if self.core.stopped() {
+            return Discovery::Answer(self.core.stop_result());
+        }
+        Discovery::Queue(id)
+    }
+
+    /// The successors of `id`, or `None` when the search must stop.
+    fn expand(&mut self, id: u32) -> Option<Vec<N>> {
+        if self.core.poll_cancel() {
+            return None;
+        }
+        self.core.memoized += 1;
+        let node = self.core.interner.get(id).clone();
+        Some(self.graph.successors(&node))
+    }
+
+    /// The interned target successors of `id`, or `None` when the search
+    /// must stop.
+    fn target_succs(&mut self, id: u32) -> Option<Vec<u32>> {
+        let kids = self.expand(id)?;
+        let ids = kids
+            .into_iter()
+            .filter(|k| self.graph.is_target(k))
+            .map(|k| self.core.intern(k).0)
+            .collect();
+        if self.core.stopped() {
+            return None;
+        }
+        if self.colour.len() < self.core.interner.len() {
+            self.colour.resize(self.core.interner.len(), Colour::White);
+        }
+        Some(ids)
+    }
+
+    /// Depth-first search for a cycle through targets from the target
+    /// `seed`. A found cycle is the stack at the closing edge followed by
+    /// the grey node the edge returns to.
+    fn cycle(&mut self, seed: u32) -> RedOutcome {
+        let Some(kids) = self.target_succs(seed) else {
+            return RedOutcome::Stopped;
+        };
+        self.colour[seed as usize] = Colour::Grey;
+        let mut stack = vec![Frame {
+            id: seed,
+            children: kids,
+            next_child: 0,
+        }];
+        loop {
+            self.peak = self.peak.max(stack.len());
+            let Some(top) = stack.last_mut() else {
+                return RedOutcome::NoCycle;
+            };
+            let Some(&child) = top.children.get(top.next_child) else {
+                self.colour[top.id as usize] = Colour::Black;
+                stack.pop();
+                continue;
+            };
+            top.next_child += 1;
+            match self.colour[child as usize] {
+                Colour::Grey => {
+                    let mut path: Vec<u32> = stack.iter().map(|f| f.id).collect();
+                    path.push(child);
+                    return RedOutcome::Cycle(path);
+                }
+                Colour::White => {
+                    let Some(kids) = self.target_succs(child) else {
+                        return RedOutcome::Stopped;
+                    };
+                    self.colour[child as usize] = Colour::Grey;
+                    stack.push(Frame {
+                        id: child,
+                        children: kids,
+                        next_child: 0,
+                    });
+                }
+                Colour::Black => {}
+            }
+        }
+    }
+
+    /// The answer for the target `seed`: the breadth-first path to it,
+    /// then `path` (which starts at `seed`) up to `entry`, then the cycle
+    /// `path[entry..]`.
+    fn lasso(&self, seed: u32, mut path: Vec<u32>, entry: usize) -> SearchResult<N> {
+        let mut stem = Vec::new();
+        let mut cur = self.parent[seed as usize];
+        while let Some(p) = cur {
+            stem.push(p);
+            cur = self.parent[p as usize];
+        }
+        stem.reverse();
+        let cycle = path.split_off(entry);
+        stem.extend(path);
+        let get = |ids: Vec<u32>| -> Vec<N> {
+            ids.into_iter()
+                .map(|id| self.core.interner.get(id).clone())
+                .collect()
+        };
+        SearchResult::Lasso {
+            stem: get(stem),
+            cycle: get(cycle),
+        }
+    }
+}
+
 /// Accepting-lasso search by Tarjan SCC decomposition.
 ///
 /// Finds the first strongly connected component (in DFS completion order)
@@ -488,7 +777,7 @@ where
 /// every node expansion; a fired token yields [`SearchResult::Cancelled`]).
 pub fn find_accepting_scc_with<N, FS, FA>(
     inits: Vec<N>,
-    succ: FS,
+    mut succ: FS,
     accepting: FA,
     limit: Option<usize>,
     cancel: &CancelToken,
@@ -499,10 +788,9 @@ where
     FA: Fn(&N) -> bool,
 {
     let started = Instant::now();
-    let mut core = Core::new(succ, limit, cancel);
-    let init_ids: Vec<u32> = inits.into_iter().map(|n| core.intern(n)).collect();
-    if core.stopped() || core.cancel.is_cancelled() {
-        core.cancel_hit |= core.cancel.is_cancelled();
+    let mut core = Core::new(limit, cancel);
+    let init_ids: Vec<u32> = inits.into_iter().map(|n| core.intern(n).0).collect();
+    if core.poll_cancel() || core.stopped() {
         return (core.stop_result(), core.stats(0, started));
     }
 
@@ -537,7 +825,7 @@ where
         visited += 1;
         stk.push(root);
         mark(&mut on_stk, root);
-        let kids = core.succs(root);
+        let kids = core.succs(root, &mut succ);
         if core.stopped() {
             return (core.stop_result(), core.stats(peak_depth, started));
         }
@@ -560,7 +848,7 @@ where
                         visited += 1;
                         stk.push(w);
                         mark(&mut on_stk, w);
-                        let kids = core.succs(w);
+                        let kids = core.succs(w, &mut succ);
                         if core.stopped() {
                             return (core.stop_result(), core.stats(peak_depth, started));
                         }
@@ -625,7 +913,7 @@ where
 /// Builds a deterministic lasso through `seed` (an accepting member of
 /// the SCC `comp`) from the memoized edges: shortest stem from the
 /// initial nodes, shortest cycle inside the component.
-fn scc_lasso<N, FS>(core: &Core<N, FS>, inits: &[u32], comp: &[u32], seed: u32) -> (Vec<N>, Vec<N>)
+fn scc_lasso<N>(core: &Core<N>, inits: &[u32], comp: &[u32], seed: u32) -> (Vec<N>, Vec<N>)
 where
     N: Clone + Eq + Hash,
 {
@@ -1013,5 +1301,208 @@ mod tests {
         );
         assert_eq!(plain, with);
         assert!(plain.is_lasso());
+    }
+
+    /// An explicit graph for [`breadth_first`]: adjacency lists, a
+    /// target set, and the nodes evicted so far.
+    struct Explicit {
+        adj: Vec<Vec<usize>>,
+        targets: BTreeSet<usize>,
+        evicted: BTreeSet<usize>,
+        /// Evictions to perform when a node is expanded: `(expanded, evicted)`.
+        evicts: Vec<(usize, usize)>,
+        expanded: Vec<usize>,
+    }
+
+    impl Explicit {
+        fn new(n: usize, edges: &[(usize, usize)], targets: &[usize]) -> Explicit {
+            let mut adj = vec![Vec::new(); n];
+            for &(a, b) in edges {
+                adj[a].push(b);
+            }
+            Explicit {
+                adj,
+                targets: targets.iter().copied().collect(),
+                evicted: BTreeSet::new(),
+                evicts: Vec::new(),
+                expanded: Vec::new(),
+            }
+        }
+    }
+
+    impl PrunedGraph<usize> for Explicit {
+        fn successors(&mut self, node: &usize) -> Vec<usize> {
+            self.expanded.push(*node);
+            for &(by, gone) in &self.evicts {
+                if by == *node {
+                    self.evicted.insert(gone);
+                }
+            }
+            self.adj[*node].clone()
+        }
+        fn is_target(&self, node: &usize) -> bool {
+            self.targets.contains(node)
+        }
+        fn admitted(&self, node: &usize) -> bool {
+            !self.evicted.contains(node)
+        }
+    }
+
+    fn bfs(g: &mut Explicit, goal: Goal, limit: Option<usize>) -> SearchResult<usize> {
+        breadth_first(vec![0], g, goal, limit, &CancelToken::never()).0
+    }
+
+    #[test]
+    fn a_target_without_a_future_lets_the_search_resume() {
+        // 0 -> 1 (target, dead end) and 0 -> 2 -> 3 (target) -> 4 -> 3.
+        // The first target reached has a finite future; the later one
+        // cycles, so the answer is a lasso through 3 and 4.
+        let edges = [(0, 1), (0, 2), (2, 3), (3, 4), (4, 3)];
+        let mut g = Explicit::new(5, &edges, &[1, 3, 4]);
+        match bfs(&mut g, Goal::Lasso, None) {
+            SearchResult::Lasso { stem, cycle } => {
+                assert_eq!(stem, vec![0, 2]);
+                assert_eq!(cycle, vec![3, 4]);
+            }
+            other => panic!("expected lasso, got {other:?}"),
+        }
+        // Without the cycle, nothing is accepted.
+        let mut g = Explicit::new(5, &[(0, 1), (0, 2), (2, 3), (3, 4)], &[1, 3, 4]);
+        assert_eq!(
+            bfs(&mut g, Goal::Lasso, None),
+            SearchResult::Empty { explored: 5 }
+        );
+    }
+
+    #[test]
+    fn a_stem_runs_through_the_target_region_to_the_cycle() {
+        // 0 -> 1 (target) -> 2 -> 3 -> 2: the cycle is entered at 2.
+        let mut g = Explicit::new(4, &[(0, 1), (1, 2), (2, 3), (3, 2)], &[1, 2, 3]);
+        match bfs(&mut g, Goal::Lasso, None) {
+            SearchResult::Lasso { stem, cycle } => {
+                assert_eq!(stem, vec![0, 1]);
+                assert_eq!(cycle, vec![2, 3]);
+            }
+            other => panic!("expected lasso, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reach_answers_with_the_path_to_the_first_target() {
+        let mut g = Explicit::new(4, &[(0, 1), (1, 2), (0, 3), (3, 2)], &[2]);
+        match bfs(&mut g, Goal::Reach, None) {
+            SearchResult::Lasso { stem, cycle } => {
+                assert_eq!(stem, vec![0, 1, 2]);
+                assert!(cycle.is_empty());
+            }
+            other => panic!("expected a path, got {other:?}"),
+        }
+        let mut g = Explicit::new(3, &[(0, 1), (1, 0)], &[2]);
+        assert_eq!(
+            bfs(&mut g, Goal::Reach, None),
+            SearchResult::Empty { explored: 2 }
+        );
+    }
+
+    #[test]
+    fn a_node_evicted_before_its_expansion_is_skipped() {
+        // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 4. Expanding 1 evicts 2, which is
+        // still queued: 2 is never expanded, so 4 is never reached.
+        let mut g = Explicit::new(5, &[(0, 1), (0, 2), (1, 3), (2, 4)], &[]);
+        g.evicts.push((1, 2));
+        let (result, stats) =
+            breadth_first(vec![0], &mut g, Goal::Reach, None, &CancelToken::never());
+        assert_eq!(result, SearchResult::Empty { explored: 3 });
+        assert_eq!(g.expanded, vec![0, 1, 3]);
+        assert_eq!(stats.nodes_interned, 4);
+        assert_eq!(stats.successors_memoized, 3);
+    }
+
+    #[test]
+    fn breadth_first_budget_and_token_never_give_a_spurious_empty() {
+        // A chain into a cycle of targets: 0 -> 1 -> ... -> 9 -> 10 (target)
+        // -> 11 (target) -> 10.
+        let mut edges: Vec<(usize, usize)> = (0..10).map(|u| (u, u + 1)).collect();
+        edges.extend([(10, 11), (11, 10)]);
+        for goal in [Goal::Lasso, Goal::Reach] {
+            let mut g = Explicit::new(12, &edges, &[10, 11]);
+            assert!(bfs(&mut g, goal, None).is_lasso());
+            for limit in 1..=9 {
+                let mut g = Explicit::new(12, &edges, &[10, 11]);
+                assert_eq!(
+                    bfs(&mut g, goal, Some(limit)),
+                    SearchResult::LimitReached { limit },
+                    "{goal:?} limit {limit}"
+                );
+            }
+            // The target is the node that exhausts a budget of 10 (and
+            // fits in 11): that answers a reach, but the lasso still
+            // needs node 11.
+            for limit in [10, 11] {
+                let mut g = Explicit::new(12, &edges, &[10, 11]);
+                let r = bfs(&mut g, goal, Some(limit));
+                match goal {
+                    Goal::Reach => assert!(r.is_lasso(), "{r:?}"),
+                    Goal::Lasso => assert_eq!(r, SearchResult::LimitReached { limit }),
+                }
+            }
+            let mut g = Explicit::new(12, &edges, &[10, 11]);
+            assert!(bfs(&mut g, goal, Some(12)).is_lasso());
+            let fired = CancelToken::new();
+            fired.cancel();
+            for limit in [None, Some(1)] {
+                let mut g = Explicit::new(12, &edges, &[10, 11]);
+                let (r, _) = breadth_first(vec![0], &mut g, goal, limit, &fired);
+                assert_eq!(r, SearchResult::Cancelled, "{goal:?} {limit:?}");
+            }
+        }
+        let t = CancelToken::with_deadline(Duration::ZERO);
+        let mut g = Explicit::new(12, &edges, &[10, 11]);
+        assert_eq!(
+            breadth_first(vec![0], &mut g, Goal::Lasso, None, &t).0,
+            SearchResult::Cancelled
+        );
+    }
+
+    #[test]
+    fn breadth_first_agrees_with_nested_dfs_on_closed_target_regions() {
+        let mut s = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for case in 0..300 {
+            let n = 2 + (next() % 8) as usize;
+            let acc: BTreeSet<usize> = (0..n).filter(|_| next() % 3 == 0).collect();
+            let mut edges = Vec::new();
+            for _ in 0..(next() % 14) {
+                let a = (next() % n as u64) as usize;
+                let b = (next() % n as u64) as usize;
+                // Keep the target region closed, as a safety-shaped
+                // automaton's accepting region is.
+                if !acc.contains(&a) || acc.contains(&b) {
+                    edges.push((a, b));
+                }
+            }
+            let targets: Vec<usize> = acc.iter().copied().collect();
+            let mut g = Explicit::new(n, &edges, &targets);
+            let nested = run(n, &edges, &[0], &targets);
+            let breadth = bfs(&mut g, Goal::Lasso, None);
+            assert_eq!(
+                nested.is_lasso(),
+                breadth.is_lasso(),
+                "case {case}: edges={edges:?} acc={acc:?}\nnested={nested:?}\nbfs={breadth:?}"
+            );
+            if let SearchResult::Lasso { stem, cycle } = breadth {
+                let edge = |a: usize, b: usize| edges.contains(&(a, b));
+                let path: Vec<usize> = stem.iter().chain(&cycle).copied().collect();
+                assert_eq!(path[0], 0);
+                assert!(path.windows(2).all(|w| edge(w[0], w[1])), "case {case}");
+                assert!(edge(*cycle.last().unwrap(), cycle[0]), "case {case}");
+                assert!(cycle.iter().all(|u| acc.contains(u)), "case {case}");
+            }
+        }
     }
 }

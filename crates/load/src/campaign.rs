@@ -135,6 +135,8 @@ pub struct CampaignReport {
     /// followers that left a coalesced run on their own deadline. A flag
     /// over `cold_runs` and `coalesced`, not an outcome of its own.
     pub cancelled: u64,
+    /// The cancelled cold runs among `cancelled`, fleet-wide.
+    pub cold_cancelled: u64,
     /// Submissions whose deadline expired before admission, fleet-wide.
     pub dead_on_arrival: u64,
     /// Submissions refused (inadmissible, draining or shed), fleet-wide.
@@ -143,9 +145,11 @@ pub struct CampaignReport {
     pub replicated_applied: u64,
     /// Requests the router re-routed (dead or partitioned owner).
     pub failovers: u64,
-    /// The economy invariant: `cold_runs <= distinct + cancelled +
+    /// The economy invariant: `cold_runs <= distinct + cold_cancelled +
     /// failovers` — each distinct fingerprint verifies once, plus the
-    /// legitimately un-cacheable or re-homed runs.
+    /// legitimately un-cacheable or re-homed runs. A follower that left
+    /// a coalesced run on its deadline ran nothing, so it buys no extra
+    /// cold run.
     pub single_verification_ok: bool,
     /// The node retired mid-campaign, if the drill was on.
     pub retired_node: Option<u32>,
@@ -164,7 +168,7 @@ impl CampaignReport {
                 "\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{},",
                 "\"errors\":{},\"cold_runs\":{},\"cache_hits\":{},",
                 "\"incremental_hits\":{},\"coalesced\":{},\"cancelled\":{},",
-                "\"dead_on_arrival\":{},\"refused\":{},\"replicated_applied\":{},",
+                "\"cold_cancelled\":{},\"dead_on_arrival\":{},\"refused\":{},\"replicated_applied\":{},",
                 "\"failovers\":{},\"single_verification_ok\":{},",
                 "\"retired_node\":{},\"churn\":{}}}"
             ),
@@ -186,6 +190,7 @@ impl CampaignReport {
             self.incremental_hits,
             self.coalesced,
             self.cancelled,
+            self.cold_cancelled,
             self.dead_on_arrival,
             self.refused,
             self.replicated_applied,
@@ -224,6 +229,13 @@ struct Slot {
 }
 
 /// The q-th percentile of a sorted latency vector.
+/// The economy invariant: each distinct fingerprint verifies once, and
+/// a cold run beyond that needs a cancelled cold run (nothing was
+/// cached) or a failover (the run moved) to account for it.
+fn economy_holds(cold_runs: u64, distinct: usize, cold_cancelled: u64, failovers: u64) -> bool {
+    cold_runs <= distinct as u64 + cold_cancelled + failovers
+}
+
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -385,7 +397,7 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
             .sum()
     };
     let cold_runs = sum(|c| c.cache_misses.load(Ordering::Relaxed));
-    let cancelled = sum(|c| c.cancelled.load(Ordering::Relaxed));
+    let cold_cancelled = sum(|c| c.cold_cancelled.load(Ordering::Relaxed));
     let failovers = fleet.router().counters.failovers.load(Ordering::Relaxed);
     CampaignReport {
         nodes: opts.nodes,
@@ -405,7 +417,8 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
         cache_hits: sum(|c| c.cache_hits.load(Ordering::Relaxed)),
         incremental_hits: sum(|c| c.incremental_hits.load(Ordering::Relaxed)),
         coalesced: sum(|c| c.coalesced.load(Ordering::Relaxed)),
-        cancelled,
+        cancelled: sum(|c| c.cancelled.load(Ordering::Relaxed)),
+        cold_cancelled,
         dead_on_arrival: sum(|c| c.dead_on_arrival.load(Ordering::Relaxed)),
         refused: sum(|c| {
             c.admission_rejections.load(Ordering::Relaxed)
@@ -414,7 +427,7 @@ pub fn run(opts: &CampaignOptions) -> CampaignReport {
         }),
         replicated_applied: sum(|c| c.replicated_applied.load(Ordering::Relaxed)),
         failovers,
-        single_verification_ok: cold_runs <= distinct as u64 + cancelled + failovers,
+        single_verification_ok: economy_holds(cold_runs, distinct, cold_cancelled, failovers),
         retired_node,
         churn,
     }
@@ -529,5 +542,51 @@ mod tests {
             + report.errors;
         assert_eq!(accounted, report.submissions as u64, "{report:?}");
         assert_eq!(report.cold_runs, report.distinct as u64, "{report:?}");
+    }
+
+    #[test]
+    fn departed_followers_buy_no_extra_cold_run() {
+        // Deadlines on every submission, tight enough that some cold runs
+        // are cancelled and their fingerprints run again. Only cancelled
+        // cold runs may account for a repeated cold run: a follower that
+        // left a coalesced run on its deadline ran nothing.
+        let report = run(&CampaignOptions {
+            nodes: 2,
+            submissions: 300,
+            rps: 1_500.0,
+            corpus_size: 40,
+            zipf_s: 1.1,
+            workers: 8,
+            seed: 0xDEAD11E,
+            deadline_fraction: 1.0,
+            deadline_us: (20, 400),
+            ..CampaignOptions::default()
+        });
+        assert_eq!(report.errors, 0, "{report:?}");
+        assert!(report.cold_cancelled <= report.cancelled, "{report:?}");
+        assert!(
+            report.cold_cancelled <= report.cold_runs,
+            "cancelled cold runs are cold runs: {report:?}"
+        );
+        assert_eq!(
+            report.single_verification_ok,
+            report.cold_runs <= report.distinct as u64 + report.cold_cancelled + report.failovers,
+            "{report:?}"
+        );
+        assert!(report.single_verification_ok, "{report:?}");
+        let json = report.encode();
+        let key = format!("\"cold_cancelled\":{},", report.cold_cancelled);
+        assert!(json.contains(&key), "{json}");
+    }
+
+    #[test]
+    fn the_economy_invariant_ignores_cancelled_followers() {
+        // One fingerprint ran twice. A cancelled cold run accounts for
+        // the second run, and so does a failover; a follower that left
+        // on its deadline does not, since it never ran.
+        assert!(economy_holds(1, 1, 0, 0));
+        assert!(economy_holds(2, 1, 1, 0));
+        assert!(economy_holds(2, 1, 0, 1));
+        assert!(!economy_holds(2, 1, 0, 0));
     }
 }

@@ -20,10 +20,11 @@
 //!   generated case. Counterexamples are replayed against the **full**
 //!   service regardless (the enumerative sweep below never slices).
 //! * **pruned vs unpruned**: store subsumption (DESIGN.md §3.1.3) is on
-//!   by default, so the base run prunes where it applies; a run that
-//!   dropped anything is re-verified with `prune: false`. Conclusive
-//!   unpruned verdicts must agree in kind, and a pruned lasso must
-//!   replay through the unpruned product
+//!   by default, so the base run prunes where it applies and then
+//!   searches breadth-first instead of by nested DFS; every such case is
+//!   re-verified with `prune: false`, which takes the nested DFS.
+//!   Conclusive unpruned verdicts must agree in kind, and a lasso of the
+//!   breadth-first search must replay through the unpruned product
 //!   ([`wave_verifier::symbolic::lasso_replays`]).
 //! * **metamorphic permutations**: shuffling rules, declarations, pages
 //!   and database facts must keep the service's canonical
@@ -51,7 +52,9 @@ use wave_verifier::dbgen;
 use wave_verifier::enumerative::{verify_ltl_on_db, EnumOptions, EnumOutcome};
 use wave_verifier::precheck::precheck;
 use wave_verifier::replay::replay_outcome;
-use wave_verifier::symbolic::{lasso_replays, verify_ltl, SymbolicOptions, Verdict};
+use wave_verifier::symbolic::{
+    lasso_replays, searches_breadth_first, verify_ltl, SymbolicOptions, Verdict,
+};
 
 use crate::spec::{rename_idents, ServiceSpec};
 
@@ -142,9 +145,11 @@ pub struct CaseReport {
     /// True when any engine hit a budget — comparisons involving it are
     /// skipped, not failed.
     pub inconclusive: bool,
-    /// The base symbolic run's `SearchStats::pruned` (the unpruned leg
-    /// runs only when this is nonzero).
+    /// The base symbolic run's `SearchStats::pruned`.
     pub pruned: u64,
+    /// True when the base run took the breadth-first search (pruning on,
+    /// safety-shaped negation), so the unpruned leg ran.
+    pub breadth_first: bool,
     /// Everything that tripped.
     pub flaws: Vec<Flaw>,
 }
@@ -239,6 +244,7 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         replays: 0,
         inconclusive: false,
         pruned: 0,
+        breadth_first: false,
         flaws: Vec::new(),
     };
     let flaw = |report: &mut CaseReport, kind: FlawKind, detail: String| {
@@ -335,14 +341,16 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
     }
 
     // Pruned vs unpruned: store subsumption (DESIGN.md §3.1.3) is on by
-    // default, so the base run pruned wherever it applies. Only a run
-    // that dropped something is re-run with `prune: false`, which keeps
-    // the campaign's cost flat. The kinds must agree whenever the
-    // unpruned side is conclusive; pruning only shrinks the search, so
-    // an unpruned `LimitReached` may become conclusive. A pruned lasso
-    // must also replay through the unpruned product, which it is a path
-    // of by construction.
-    if base.stats.pruned > 0 {
+    // default, so the base run pruned wherever it applies, and searched
+    // breadth-first there. Every case that search served is re-run with
+    // `prune: false`, which takes the nested DFS, whether or not it
+    // dropped anything: the search order itself differs. The kinds must
+    // agree whenever the unpruned side is conclusive; pruning only
+    // shrinks the search, so an unpruned `LimitReached` may become
+    // conclusive. Its lasso must also replay through the unpruned
+    // product, which it is a path of by construction.
+    report.breadth_first = searches_breadth_first(&property, &sym_opts);
+    if report.breadth_first {
         let unpruned_opts = SymbolicOptions {
             prune: false,
             ..sym_opts.clone()
@@ -373,7 +381,7 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
                 Ok(false) => flaw(
                     &mut report,
                     FlawKind::SubsumptionDivergence,
-                    "the pruned lasso does not replay through the unpruned product".into(),
+                    "the breadth-first lasso does not replay through the unpruned product".into(),
                 ),
                 Err(e) => flaw(&mut report, FlawKind::EngineError, format!("replay: {e}")),
             }

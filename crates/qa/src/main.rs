@@ -145,6 +145,7 @@ fn main() -> ExitCode {
     let mut enum_violations = 0u64;
     let mut replays = 0u64;
     let mut pruned = 0u64;
+    let mut breadth_first = 0u64;
     let mut flawed: Vec<u64> = Vec::new();
     let mut out_of_budget = false;
 
@@ -166,6 +167,7 @@ fn main() -> ExitCode {
         enum_violations += report.enum_violations as u64;
         replays += report.replays as u64;
         pruned += u64::from(report.pruned > 0);
+        breadth_first += u64::from(report.breadth_first);
         if !report.clean() {
             flawed.push(seed);
             eprintln!("== seed {seed}: {} flaw(s) ==", report.flaws.len());
@@ -191,6 +193,7 @@ fn main() -> ExitCode {
             "{{\"cases\": {cases}, \"sym_holds\": {holds}, \"sym_violated\": {violated}, \
              \"inconclusive\": {inconclusive}, \"enum_violations\": {enum_violations}, \
              \"replayed\": {replays}, \"pruned_cases\": {pruned}, \
+             \"breadth_first_cases\": {breadth_first}, \
              \"flawed_seeds\": {flawed:?}, \
              \"out_of_budget\": {out_of_budget}, \"elapsed_s\": {elapsed:.3}}}"
         );
@@ -198,7 +201,7 @@ fn main() -> ExitCode {
         println!(
             "wave-qa: {cases} case(s), {holds} hold / {violated} violated / {inconclusive} \
              inconclusive; {enum_violations} counterexample(s), {replays} replayed; \
-             {pruned} pruned; {} flaw(s); {elapsed:.1}s{}",
+             {pruned} pruned, {breadth_first} breadth-first; {} flaw(s); {elapsed:.1}s{}",
             flawed.len(),
             if out_of_budget { " (budget hit)" } else { "" }
         );

@@ -193,7 +193,8 @@ pub struct SubmitResult {
 /// `incremental_hits`, `coalesced`, `cache_misses`, `dead_on_arrival`,
 /// `quarantined`, `admission_rejections`, `drain_rejections` and
 /// `load_shed`. The other counters are flags that overlap those classes
-/// (`cancelled`, `queue_rejections`, `worker_panics`) or count other work.
+/// (`cancelled`, `cold_cancelled`, `queue_rejections`, `worker_panics`)
+/// or count other work.
 #[derive(Default)]
 pub struct Counters {
     /// Verify submissions accepted for processing (the property parsed).
@@ -209,6 +210,10 @@ pub struct Counters {
     /// followers that left a coalesced run on their own deadline (also
     /// in `coalesced`). Not an outcome class of its own.
     pub cancelled: AtomicU64,
+    /// The cold verifications among `cancelled`: runs that ended in
+    /// `Verdict::Cancelled` and so left nothing cached for the next
+    /// submission of their fingerprint.
+    pub cold_cancelled: AtomicU64,
     /// Submissions rejected because the queue was full.
     pub queue_rejections: AtomicU64,
     /// Submissions refused by static analysis before any verification.
@@ -415,13 +420,14 @@ pub fn request_fingerprint(
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v5: store subsumption changed the search's counters and
-    // `Holds { explored }` (and added the `pruned` stats key), so bytes
-    // stored under v4 differ from what a fresh run answers. (v4 put the
-    // admission rules' version in the domain, because cache hits replay
-    // without re-running admission; v3 added the `incremental` stats
-    // flag, v2 sliced_rules/sliced_relations.)
-    h.write_str("wave-serve/fp/v5");
+    // v6: the breadth-first search for safety-shaped properties changed
+    // the counters, `Holds { explored }` and the lassos, so bytes stored
+    // under v5 differ from what a fresh run answers. (v5 did the same
+    // for store subsumption, and added the `pruned` stats key; v4 put
+    // the admission rules' version in the domain, because cache hits
+    // replay without re-running admission; v3 added the `incremental`
+    // stats flag, v2 sliced_rules/sliced_relations.)
+    h.write_str("wave-serve/fp/v6");
     h.write_u64(u64::from(ADMISSION_VERSION));
     service.canon(&mut h);
     match mode {
@@ -1024,6 +1030,7 @@ impl Engine {
         let bytes = encode(out);
         if out.verdict == Verdict::Cancelled {
             c.cancelled.fetch_add(1, Ordering::Relaxed);
+            c.cold_cancelled.fetch_add(1, Ordering::Relaxed);
         } else {
             let mut cache = self.cache.lock().expect("cache poisoned");
             cache.insert(fp, bytes.clone());
@@ -1318,19 +1325,38 @@ mod tests {
         });
     }
 
+    /// A key of the v4 or later scheme: the admission version follows
+    /// the domain.
+    fn admission_versioned_key(
+        domain: &str,
+        service: &Service,
+        property: &Property,
+    ) -> Fingerprint {
+        let mut h = Fnv128::new();
+        h.write_str(domain);
+        h.write_u64(u64::from(ADMISSION_VERSION));
+        service.canon(&mut h);
+        h.write_u8(0x01);
+        property.canon(&mut h);
+        h.write_len(SymbolicOptions::default().normalized().node_limit);
+        Fingerprint(h.finish())
+    }
+
     #[test]
     fn records_keyed_under_the_v4_domain_are_not_replayed() {
         // The v4 scheme: counters and `explored` from before store
         // subsumption.
         assert_old_scheme_is_not_replayed("v4", &|service, property| {
-            let mut h = Fnv128::new();
-            h.write_str("wave-serve/fp/v4");
-            h.write_u64(u64::from(ADMISSION_VERSION));
-            service.canon(&mut h);
-            h.write_u8(0x01);
-            property.canon(&mut h);
-            h.write_len(SymbolicOptions::default().normalized().node_limit);
-            Fingerprint(h.finish())
+            admission_versioned_key("wave-serve/fp/v4", service, property)
+        });
+    }
+
+    #[test]
+    fn records_keyed_under_the_v5_domain_are_not_replayed() {
+        // The v5 scheme: counters, `explored` and lassos of the nested
+        // DFS, from before the breadth-first safety search.
+        assert_old_scheme_is_not_replayed("v5", &|service, property| {
+            admission_versioned_key("wave-serve/fp/v5", service, property)
         });
     }
 

@@ -77,13 +77,15 @@ pub fn verdict_tier_key(sliced: &Service, property: &Property, node_limit: usize
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v2: store subsumption changed `Holds { explored }` and the lassos
-    // a fresh search reports, so v1 bytes are not what a run answers
-    // now. (v1 was the verdict wire encoding as of wave-serve/fp/v3;
-    // the tier is probed after admission, so fp/v4's admission version
-    // never mattered to it.) Bump when the slicer, the verdict codec or
-    // the search changes the verdict bytes for a key.
-    h.write_str("wave-inc/verdict/v2");
+    // v3: the breadth-first search for safety-shaped properties changed
+    // `Holds { explored }` and the lassos a fresh search reports, so v2
+    // bytes are not what a run answers now. (v2 did the same for store
+    // subsumption; v1 was the verdict wire encoding as of
+    // wave-serve/fp/v3; the tier is probed after admission, so fp/v4's
+    // admission version never mattered to it.) Bump when the slicer,
+    // the verdict codec or the search changes the verdict bytes for a
+    // key.
+    h.write_str("wave-inc/verdict/v3");
     sliced.canon(&mut h);
     property.canon(&mut h);
     h.write_len(normalized.node_limit);

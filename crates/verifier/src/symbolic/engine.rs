@@ -3,7 +3,8 @@
 //! The negated property is abstracted over its FO components into
 //! propositional LTL, translated to a Büchi automaton, and the product
 //! with the symbolic configuration graph is searched for an accepting
-//! lasso with nested DFS. By the Periodic-Run Lemma a lasso exists iff
+//! lasso (nested DFS, or breadth-first reachability for safety-shaped
+//! automata, see below). By the Periodic-Run Lemma a lasso exists iff
 //! some database and user behaviour produce a violating run; by the
 //! freshness discipline of the symbolic semantics the lasso is always
 //! realizable (soundness).
@@ -14,8 +15,8 @@
 //! config id by a configuration table (a
 //! [`wave_automata::interner::Interner`]); product nodes are
 //! `(config id, büchi state)` pairs, hash-consed again to dense ids
-//! inside the nested DFS. Successor generation is memoized per node, so
-//! the inner (red) DFS reuses the lists the outer (blue) DFS derived.
+//! inside the search. The nested DFS memoizes successor lists per node,
+//! so the inner (red) DFS reuses the lists the outer (blue) DFS derived.
 //!
 //! On top of that, the engine memoizes the **expensive half** of
 //! successor generation — `successors(cfg)` composed with the FO-component
@@ -49,15 +50,20 @@
 //! [`verify_ltl`] keeps one per projection and Büchi state, and only when
 //! the negated automaton is safety-shaped: there, a node entering an
 //! accepting state is never dropped, and a dropped edge is never
-//! redirected, so the nested DFS walks a fixed subgraph of the product
-//! in which every lasso is real and which has a lasso whenever the
-//! product does. [`lasso_replays`] checks a reported lasso against the
-//! unpruned product.
+//! redirected, so the search walks a subgraph of the product in which
+//! every lasso is real and which has a lasso whenever the product does.
+//! Both of those searches are breadth-first
+//! ([`wave_automata::search::breadth_first`]), so the shallow, weak
+//! configurations are admitted before the deep ones they subsume, and a
+//! queued node evicted before its expansion is skipped. `verify_ltl`
+//! reaches an accepting node that way and then looks for a cycle inside
+//! the accepting region; every other automaton, and `prune: false`,
+//! takes the nested DFS. [`lasso_replays`] checks a reported lasso
+//! against the unpruned product.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use wave_core::classify;
 use wave_core::service::Service;
@@ -72,7 +78,9 @@ use wave_automata::interner::Interner;
 use wave_automata::ltl2buchi::{translate_within, TranslateError};
 use wave_automata::props::PropSet;
 pub use wave_automata::search::SearchStats;
-use wave_automata::search::{find_accepting_lasso_stats_with, SearchResult};
+use wave_automata::search::{
+    breadth_first, find_accepting_lasso_stats_with, Goal, PrunedGraph, SearchResult,
+};
 
 use crate::abstraction::{to_pnf, FoAbstraction};
 
@@ -117,9 +125,10 @@ pub struct SymbolicOptions {
     /// preserving (enforced by wave-qa's `SubsumptionDivergence` leg);
     /// on by default. [`verify_ltl`] prunes only when the negated
     /// property's automaton is safety-shaped
-    /// ([`wave_automata::buchi::Buchi::is_safety_shaped`]), and
-    /// [`is_error_free`] always, so disabling this is only useful for
-    /// differential testing.
+    /// ([`wave_automata::buchi::Buchi::is_safety_shaped`]), and then
+    /// searches breadth-first instead of by nested DFS
+    /// ([`searches_breadth_first`]); [`is_error_free`] prunes always.
+    /// Disabling this is only useful for differential testing.
     pub prune: bool,
     /// Shared LTL→Büchi translation cache: when set, [`verify_ltl`]
     /// looks the negated property's automaton up by the property's
@@ -450,6 +459,112 @@ impl<'s> Product<'s> {
     }
 }
 
+/// The product as a search walks it: product nodes are `(config id,
+/// Büchi state)`. Every derived configuration (initial, or a successor
+/// after letter branching) is interned in the configuration table to a
+/// dense id in first-seen order, so each distinct configuration is
+/// allocated once and a duplicate is dropped as soon as it is derived.
+/// The expensive half of successor generation (raw successors composed
+/// with letter branching) is memoized per config id and shared by every
+/// Büchi state paired with it; the memo is filled lazily, in
+/// successor-list content order, so the outcome is deterministic.
+struct Walk<'p, 's> {
+    product: &'p Product<'s>,
+    configs: Interner<Arc<SymConfig>>,
+    memo: Vec<Option<Vec<(u32, PropSet)>>>,
+    /// One antichain per (projection, Büchi state) when pruning applies:
+    /// a node entering a non-accepting state is dropped when an admitted
+    /// node with the same key assumes less. Nodes entering accepting
+    /// states are never dropped, and dropped edges are never redirected.
+    chains: Option<Antichains>,
+}
+
+impl<'p, 's> Walk<'p, 's> {
+    fn new(product: &'p Product<'s>, prune: bool) -> Self {
+        Walk {
+            product,
+            configs: Interner::new(),
+            memo: Vec::new(),
+            chains: prune.then(Antichains::default),
+        }
+    }
+
+    /// The initial product nodes that survive pruning.
+    fn initial(&mut self) -> Vec<(u32, usize)> {
+        let Walk {
+            product,
+            configs,
+            chains,
+            ..
+        } = self;
+        let mut inits = Vec::new();
+        for (c, letter) in product.initial() {
+            let (id, _) = configs.intern_from(c);
+            for q in product.moves(None, &letter) {
+                if keep(product, chains, configs, id, q) {
+                    inits.push((id, q));
+                }
+            }
+        }
+        inits
+    }
+}
+
+/// Whether the product node `(id, q)` survives pruning.
+fn keep(
+    product: &Product,
+    chains: &mut Option<Antichains>,
+    configs: &Interner<Arc<SymConfig>>,
+    id: u32,
+    q: usize,
+) -> bool {
+    product.aut.accepting[q]
+        || chains
+            .as_mut()
+            .is_none_or(|a| a.admit(configs, id, q as u32))
+}
+
+impl PrunedGraph<(u32, usize)> for Walk<'_, '_> {
+    fn successors(&mut self, &(id, q): &(u32, usize)) -> Vec<(u32, usize)> {
+        let Walk {
+            product,
+            configs,
+            memo,
+            chains,
+        } = self;
+        let i = id as usize;
+        if memo.len() <= i {
+            memo.resize(i + 1, None);
+        }
+        let pairs = memo[i].get_or_insert_with(|| {
+            let cfg = Arc::clone(configs.get(id));
+            product
+                .successors(&cfg)
+                .map(|(c, letter)| (configs.intern_from(c).0, letter))
+                .collect()
+        });
+        let mut out = Vec::new();
+        for &(s2, ref letter) in pairs.iter() {
+            for q2 in product.moves(Some(q), letter) {
+                if keep(product, chains, configs, s2, q2) {
+                    out.push((s2, q2));
+                }
+            }
+        }
+        out
+    }
+
+    fn is_target(&self, &(_, q): &(u32, usize)) -> bool {
+        self.product.aut.accepting[q]
+    }
+
+    fn admitted(&self, &(id, q): &(u32, usize)) -> bool {
+        self.chains
+            .as_ref()
+            .is_none_or(|a| a.is_admitted(id, q as u32))
+    }
+}
+
 /// Verifies an input-bounded LTL-FO property on an input-bounded service,
 /// over **all** databases and runs (Theorem 3.5).
 pub fn verify_ltl(
@@ -477,82 +592,31 @@ pub fn verify_ltl(
     let product = Product::new(service, property, table, aut);
     let aut = &*product.aut;
 
-    // The configuration table: every derived configuration (initial, or a
-    // successor after letter branching) is interned here to a dense id in
-    // first-seen order, so each distinct configuration is allocated once
-    // and a duplicate is dropped as soon as it is derived.
-    let mut configs: Interner<Arc<SymConfig>> = Interner::new();
-
     // Store subsumption, only where acceptance is a reachability
-    // question (DESIGN.md §3.1.3): a product node entering a
-    // non-accepting state is dropped when an admitted node with the same
-    // Büchi state and projection assumes less. Nodes entering accepting
-    // states are never dropped, and dropped edges are never redirected.
-    let mut chains = (opts.prune && aut.is_safety_shaped()).then(Antichains::default);
-    let keep = |chains: &mut Option<Antichains>, configs: &Interner<_>, id: u32, q: usize| {
-        aut.accepting[q]
-            || chains
-                .as_mut()
-                .is_none_or(|a| a.admit(configs, id, q as u32))
+    // question (DESIGN.md §3.1.3). There the weakest-first breadth-first
+    // search answers; every other automaton, and `prune: false`, takes
+    // the nested DFS.
+    let prune = breadth_first_applies(aut, &opts);
+    let mut walk = Walk::new(&product, prune);
+    let inits = walk.initial();
+    let limit = Some(opts.node_limit);
+    let (result, mut stats) = if prune {
+        breadth_first(inits, &mut walk, Goal::Lasso, limit, &opts.cancel)
+    } else {
+        let accepting = |&(_, q): &(u32, usize)| aut.accepting[q];
+        find_accepting_lasso_stats_with(
+            inits,
+            |node| walk.successors(node),
+            accepting,
+            limit,
+            &opts.cancel,
+        )
     };
-
-    // Initial product nodes `(config id, Büchi state)`.
-    let mut inits: Vec<(u32, usize)> = Vec::new();
-    for (c, letter) in product.initial() {
-        let (id, _) = configs.intern_from(c);
-        for q in product.moves(None, &letter) {
-            if keep(&mut chains, &configs, id, q) {
-                inits.push((id, q));
-            }
-        }
-    }
-
-    // The search, with the expensive half of product successor generation
-    // (raw successors composed with letter branching) memoized per
-    // configuration id and shared by every Büchi state paired with it. The
-    // memo is filled lazily: the nested DFS computes a missing entry on the
-    // spot. The traversal follows successor-list content order, so the
-    // outcome is deterministic.
-    let accepting = |&(_, q): &(u32, usize)| aut.accepting[q];
-    let mut memo: Vec<Option<Vec<(u32, PropSet)>>> = Vec::new();
-    let succ = |&(id, q): &(u32, usize)| -> Vec<(u32, usize)> {
-        let i = id as usize;
-        if memo.len() <= i {
-            memo.resize(i + 1, None);
-        }
-        let pairs = match &memo[i] {
-            Some(pairs) => pairs,
-            None => {
-                let cfg = Arc::clone(configs.get(id));
-                let pairs = product
-                    .successors(&cfg)
-                    .map(|(c, letter)| (configs.intern_from(c).0, letter))
-                    .collect();
-                memo[i].insert(pairs)
-            }
-        };
-        let mut out = Vec::new();
-        for &(s2, ref letter) in pairs {
-            for q2 in product.moves(Some(q), letter) {
-                if keep(&mut chains, &configs, s2, q2) {
-                    out.push((s2, q2));
-                }
-            }
-        }
-        out
-    };
-    let (result, mut stats) = find_accepting_lasso_stats_with(
-        inits,
-        succ,
-        accepting,
-        Some(opts.node_limit),
-        &opts.cancel,
-    );
 
     let render = |nodes: Vec<(u32, usize)>| -> Vec<String> {
         nodes
             .iter()
-            .map(|&(id, _)| configs.get(id).render(&product.ctable))
+            .map(|&(id, _)| walk.configs.get(id).render(&product.ctable))
             .collect()
     };
     let verdict = match result {
@@ -566,8 +630,26 @@ pub fn verify_ltl(
     };
     stats.sliced_rules = sliced_rules;
     stats.sliced_relations = sliced_relations;
-    stats.pruned = chains.map_or(0, |a| a.pruned);
+    stats.pruned = walk.chains.map_or(0, |a| a.pruned);
     Ok(VerifyOutcome { verdict, stats })
+}
+
+/// Whether [`verify_ltl`] answers `property` with the weakest-first
+/// breadth-first search under `opts`: pruning is on and the negated
+/// property's automaton is safety-shaped (DESIGN.md §3.1.3). `false`
+/// when the property is not LTL-FO or its tableau is refused.
+pub fn searches_breadth_first(property: &Property, opts: &SymbolicOptions) -> bool {
+    let mut table = FoAbstraction::default();
+    property.classify() == TemporalClass::Ltl
+        && to_pnf(&property.body, true, &mut table)
+            .and_then(|pnf| translate_within(&pnf, &opts.cancel).ok())
+            .is_some_and(|aut| breadth_first_applies(&aut, opts))
+}
+
+/// Whether store subsumption, and with it the breadth-first search,
+/// applies to a property whose negation is `aut`.
+fn breadth_first_applies(aut: &Buchi, opts: &SymbolicOptions) -> bool {
+    opts.prune && aut.is_safety_shaped()
 }
 
 /// Replays a [`Verdict::Violated`] lasso of [`verify_ltl`] through the
@@ -668,14 +750,54 @@ pub fn lasso_replays(
     Ok(false)
 }
 
+/// The configuration graph as [`is_error_free`] walks it, with one
+/// antichain per projection when pruning is on.
+struct Configs<'s> {
+    service: &'s Service,
+    ctable: &'s CTable,
+    table: Interner<Arc<SymConfig>>,
+    chains: Option<Antichains>,
+}
+
+impl Configs<'_> {
+    /// Interns `cfg`: its id when it survives pruning.
+    fn admit(&mut self, cfg: SymConfig) -> Option<u32> {
+        let (id, _) = self.table.intern_from(cfg);
+        let table = &self.table;
+        self.chains
+            .as_mut()
+            .is_none_or(|a| a.admit(table, id, 0))
+            .then_some(id)
+    }
+}
+
+impl PrunedGraph<u32> for Configs<'_> {
+    fn successors(&mut self, &id: &u32) -> Vec<u32> {
+        let cfg = Arc::clone(self.table.get(id));
+        successors(self.service, self.ctable, &cfg)
+            .into_iter()
+            .filter_map(|s| self.admit(s))
+            .collect()
+    }
+
+    fn is_target(&self, &id: &u32) -> bool {
+        self.table.get(id).page == self.ctable.error_page()
+    }
+
+    fn admitted(&self, &id: &u32) -> bool {
+        self.chains.as_ref().is_none_or(|a| a.is_admitted(id, 0))
+    }
+}
+
 /// Decides error-freeness (Theorem 3.5(i)): is the error page unreachable
 /// on every database and run? Implemented as layered breadth-first
 /// reachability over the symbolic configuration graph (no automaton
-/// needed — "error free" is the safety property `G ¬W_err`). Each layer
-/// is expanded in frontier order, so the witness path is deterministic.
+/// needed — "error free" is the safety property `G ¬W_err`), with the
+/// loop [`verify_ltl`] uses for safety-shaped properties. Each layer is
+/// expanded in frontier order, so the witness path is deterministic.
 /// With [`SymbolicOptions::prune`], a configuration subsumed by an
-/// admitted one with the same projection is interned but never expanded
-/// (DESIGN.md §3.1.3).
+/// admitted one with the same projection is dropped, and one evicted
+/// before its expansion is skipped (DESIGN.md §3.1.3).
 pub fn is_error_free(
     service: &Service,
     opts: &SymbolicOptions,
@@ -689,145 +811,43 @@ pub fn is_error_free(
         wave_logic::temporal::TFormula::fo(wave_logic::formula::Formula::True),
     ));
     let ctable = CTable::build(service, &property);
-    let t0 = Instant::now();
-
-    let mut interner: Interner<Arc<SymConfig>> = Interner::new();
-    // BFS-tree parent of each interned config (None for initial ones).
-    let mut parent: Vec<Option<u32>> = Vec::new();
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut expanded = 0usize;
-    let mut init_limit_hit = false;
-    // One antichain per projection: error-freeness is a reachability
-    // question, so pruning applies whatever the service.
-    let mut chains = opts.prune.then(Antichains::default);
-    let admit = |chains: &mut Option<Antichains>, interner: &Interner<_>, id: u32| {
-        chains.as_mut().is_none_or(|a| a.admit(interner, id, 0))
-    };
-    for c in initial_configs(service, &ctable) {
-        let (id, new) = interner.intern_from(c);
-        if new {
-            parent.push(None);
-            if admit(&mut chains, &interner, id) {
-                frontier.push(id);
-            }
-            // Clamp here too: a service with a very wide entry fan-out
-            // must not intern past the budget before the loop starts.
-            if interner.len() > opts.node_limit {
-                init_limit_hit = true;
-                break;
-            }
-        }
-    }
-    let mut peak = frontier.len();
 
     // Error-freeness is never sliced: every rule can influence the
     // error conditions (ambiguous/dead targets, constant provision), so
     // the cone is the whole service by definition — and for the same
-    // reason it never replays from the incremental tier.
-    let stats = |interner: &Interner<Arc<SymConfig>>,
-                 chains: &Option<Antichains>,
-                 expanded: usize,
-                 peak: usize| SearchStats {
-        nodes_interned: interner.len(),
-        dedup_hits: interner.dedup_hits(),
-        successors_memoized: expanded,
-        peak_frontier: peak,
-        search_wall: t0.elapsed(),
-        pruned: chains.as_ref().map_or(0, |a| a.pruned),
-        ..SearchStats::default()
+    // reason it never replays from the incremental tier. It is a
+    // reachability question, so pruning applies whatever the service.
+    let mut graph = Configs {
+        service,
+        ctable: &ctable,
+        table: Interner::new(),
+        chains: opts.prune.then(Antichains::default),
     };
-    let witness = |interner: &Interner<Arc<SymConfig>>, parent: &[Option<u32>], id: u32| {
-        let mut path = Vec::new();
-        let mut cur = Some(id);
-        while let Some(i) = cur {
-            path.push(interner.get(i).render(&ctable));
-            cur = parent[i as usize];
-        }
-        path.reverse();
-        Verdict::Violated {
-            stem: path,
+    let inits: Vec<u32> = initial_configs(service, &ctable)
+        .into_iter()
+        .filter_map(|c| graph.admit(c))
+        .collect();
+    let (result, mut stats) = breadth_first(
+        inits,
+        &mut graph,
+        Goal::Reach,
+        Some(opts.node_limit),
+        &opts.cancel,
+    );
+    let verdict = match result {
+        SearchResult::Empty { explored } => Verdict::Holds { explored },
+        SearchResult::Lasso { stem, .. } => Verdict::Violated {
+            stem: stem
+                .iter()
+                .map(|&id| graph.table.get(id).render(&ctable))
+                .collect(),
             cycle: Vec::new(),
-        }
+        },
+        SearchResult::LimitReached { .. } => Verdict::LimitReached,
+        SearchResult::Cancelled => Verdict::Cancelled,
     };
-
-    // Initial configurations start on the home page, but stay defensive.
-    for &id in &frontier {
-        if interner.get(id).page == ctable.error_page() {
-            return Ok(VerifyOutcome {
-                verdict: witness(&interner, &parent, id),
-                stats: stats(&interner, &chains, expanded, peak),
-            });
-        }
-    }
-    if init_limit_hit {
-        let verdict = if opts.cancel.is_cancelled() {
-            Verdict::Cancelled
-        } else {
-            Verdict::LimitReached
-        };
-        return Ok(VerifyOutcome {
-            verdict,
-            stats: stats(&interner, &chains, expanded, peak),
-        });
-    }
-
-    while !frontier.is_empty() {
-        if opts.cancel.is_cancelled() {
-            return Ok(VerifyOutcome {
-                verdict: Verdict::Cancelled,
-                stats: stats(&interner, &chains, expanded, peak),
-            });
-        }
-        if interner.len() > opts.node_limit {
-            return Ok(VerifyOutcome {
-                verdict: Verdict::LimitReached,
-                stats: stats(&interner, &chains, expanded, peak),
-            });
-        }
-        expanded += frontier.len();
-        let mut next = Vec::new();
-        for pid in frontier {
-            for s in successors(service, &ctable, interner.get(pid)) {
-                let (id, new) = interner.intern_from(s);
-                if new {
-                    parent.push(Some(pid));
-                    // The witness check outranks the budget: an error
-                    // page reached by the very node that exhausts the
-                    // limit is still a definite answer.
-                    if interner.get(id).page == ctable.error_page() {
-                        return Ok(VerifyOutcome {
-                            verdict: witness(&interner, &parent, id),
-                            stats: stats(&interner, &chains, expanded, peak),
-                        });
-                    }
-                    // Clamp *within* the layer: a wide layer must not
-                    // intern arbitrarily far past the budget before the
-                    // per-layer check at the top of the loop would fire.
-                    // Cancellation outranks the budget, as everywhere.
-                    if interner.len() > opts.node_limit {
-                        let verdict = if opts.cancel.is_cancelled() {
-                            Verdict::Cancelled
-                        } else {
-                            Verdict::LimitReached
-                        };
-                        return Ok(VerifyOutcome {
-                            verdict,
-                            stats: stats(&interner, &chains, expanded, peak),
-                        });
-                    }
-                    if admit(&mut chains, &interner, id) {
-                        next.push(id);
-                    }
-                }
-            }
-        }
-        peak = peak.max(next.len());
-        frontier = next;
-    }
-    Ok(VerifyOutcome {
-        verdict: Verdict::Holds { explored: expanded },
-        stats: stats(&interner, &chains, expanded, peak),
-    })
+    stats.pruned = graph.chains.map_or(0, |a| a.pruned);
+    Ok(VerifyOutcome { verdict, stats })
 }
 
 #[cfg(test)]
@@ -1304,7 +1324,65 @@ mod tests {
             pruned.stats.nodes_interned,
             full.stats.nodes_interned
         );
-        assert!(pruned.stats.nodes_interned <= 1_800, "{}", pruned.stats);
+        assert!(pruned.stats.nodes_interned <= 900, "{}", pruned.stats);
+        // Weakest-first order skips queued nodes evicted before their
+        // expansion.
+        assert!(
+            pruned.stats.successors_memoized < pruned.stats.nodes_interned,
+            "{}",
+            pruned.stats
+        );
+        let unsliced = SymbolicOptions {
+            slice: false,
+            ..SymbolicOptions::default()
+        };
+        let wide = verify_ltl(&bench, &p, &unsliced).unwrap();
+        assert!(wide.holds(), "{wide:?}");
+        assert!(wide.stats.nodes_interned <= 10_000, "{}", wide.stats);
+    }
+
+    #[test]
+    fn the_breadth_first_search_never_reports_a_spurious_holds() {
+        // Fig. 2 holds and `G !ship(p)` is violated on `checkout_bench`;
+        // both negations are safety-shaped, so both take the
+        // breadth-first search. Below the budget either needs, the
+        // answer is `LimitReached`, and a fired token is `Cancelled`.
+        let bench = wave_demo::site::checkout_bench();
+        for prop in [FIG2, "forall p . G !ship(p)"] {
+            let p = parse_property(prop).unwrap();
+            assert!(searches_breadth_first(&p, &SymbolicOptions::default()));
+            assert!(!searches_breadth_first(&p, &unpruned()));
+            let full = verify_ltl(&bench, &p, &SymbolicOptions::default()).unwrap();
+            let needed = full.stats.nodes_interned;
+            for node_limit in [1, 2, 5, needed / 2, needed - 1] {
+                let opts = SymbolicOptions {
+                    node_limit,
+                    ..SymbolicOptions::default()
+                };
+                let out = verify_ltl(&bench, &p, &opts).unwrap();
+                assert_eq!(out.verdict, Verdict::LimitReached, "{prop} @ {node_limit}");
+                let fired = CancelToken::new();
+                fired.cancel();
+                let opts = SymbolicOptions {
+                    cancel: fired,
+                    ..opts
+                };
+                let out = verify_ltl(&bench, &p, &opts).unwrap();
+                assert_eq!(out.verdict, Verdict::Cancelled, "{prop} @ {node_limit}");
+            }
+            let exact = SymbolicOptions {
+                node_limit: needed,
+                ..SymbolicOptions::default()
+            };
+            assert_eq!(
+                verify_ltl(&bench, &p, &exact).unwrap().verdict,
+                full.verdict
+            );
+        }
+        assert!(!searches_breadth_first(
+            &parse_property("F Q").unwrap(),
+            &SymbolicOptions::default()
+        ));
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! * **The product search** (`engine`): the negated property becomes a
 //!   Büchi automaton over its FO components; nested DFS hunts for an
 //!   accepting lasso — a symbolic pseudo-run that, by construction, is
-//!   realizable by a concrete database and user behaviour.
+//!   realizable by a concrete database and user behaviour. A
+//!   safety-shaped automaton is searched weakest-first instead, by
+//!   breadth-first reachability with store subsumption.
 //!
 //! Soundness and completeness (relative to the paper's theorems) are
 //! cross-checked against the enumerative verifier in the integration
@@ -48,7 +50,7 @@ mod table;
 
 pub use config::SymConfig;
 pub use engine::{
-    buchi_key, is_error_free, lasso_replays, verify_ltl, CancelToken, SearchStats, SymbolicError,
-    SymbolicOptions, Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
+    buchi_key, is_error_free, lasso_replays, searches_breadth_first, verify_ltl, CancelToken,
+    SearchStats, SymbolicError, SymbolicOptions, Verdict, VerifyOutcome, DEFAULT_NODE_LIMIT,
 };
 pub use table::{CTable, Sym};

@@ -55,4 +55,15 @@ impl Antichains {
         chain.push(id);
         true
     }
+
+    /// Whether config `id` is in its antichain under `key`: admitted, and
+    /// not evicted since by a weaker configuration.
+    pub(crate) fn is_admitted(&self, id: u32, key: u32) -> bool {
+        let Some(&Some(hash)) = self.projection.get(id as usize) else {
+            return false;
+        };
+        self.chains
+            .get(&(hash, key))
+            .is_some_and(|chain| chain.contains(&id))
+    }
 }
