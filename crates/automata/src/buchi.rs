@@ -71,11 +71,6 @@ impl Buchi {
         self.guard.is_empty()
     }
 
-    /// Total transition count (for size reporting in benchmarks).
-    pub fn num_transitions(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
-    }
-
     /// True when acceptance is a reachability question: every successor
     /// of an accepting state is accepting, and each accepting state has
     /// an accepting successor with a [`Guard::top`] guard and a

@@ -314,14 +314,8 @@ fn engine_run(
     }
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(journal.with_extension("ndjson.tmp"));
-    // Sibling artifacts the engine persists next to the result journal:
-    // the generation sidecar and the verdict-tier journal (with its own
-    // sidecar and compaction temp).
+    // The generation sidecar the engine stamps next to the journal.
     let _ = std::fs::remove_file(wave_serve::cache::generation_path(&journal));
-    let tier = journal.with_extension("verdicts.ndjson");
-    let _ = std::fs::remove_file(wave_serve::cache::generation_path(&tier));
-    let _ = std::fs::remove_file(tier.with_extension("ndjson.tmp"));
-    let _ = std::fs::remove_file(tier);
 }
 
 /// One wire sweep: a real TCP server wired to the plan's plane, driven

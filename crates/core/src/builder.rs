@@ -107,12 +107,6 @@ impl ServiceBuilder {
         }
     }
 
-    /// Overrides the error page name (default `__error__`).
-    pub fn error_page_name(&mut self, name: impl Into<String>) -> &mut Self {
-        self.error_page = name.into();
-        self
-    }
-
     fn add_rel(&mut self, name: &str, arity: usize, kind: RelKind) -> &mut Self {
         if let Err(e) = self.schema.add_relation(name, arity, kind) {
             self.errors.push(BuildError::Schema(e));

@@ -145,8 +145,6 @@ fn run_seed(seed: u64, nodes: usize, report: &mut FlapReport) {
         ship_interval: Duration::from_millis(20),
         heartbeat: Some(HeartbeatOptions {
             interval: Duration::from_millis(25),
-            k_missed: 3,
-            probe_timeout: Duration::from_millis(250),
             seed,
         }),
         ..FleetOptions::default()

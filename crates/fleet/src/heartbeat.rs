@@ -5,7 +5,7 @@
 //! seeded-jittered interval (jitter keeps probes from synchronizing
 //! into a thundering herd against loaded nodes). A failed probe is a
 //! *missed beat*, not a death: the member moves alive → suspect and
-//! stays in the placement. Only after `k_missed` consecutive misses
+//! stays in the placement. Only after `K_MISSED` (3) consecutive misses
 //! does the prober escalate — and even then it runs **one more
 //! synchronous confirm probe that bypasses the fault plane** before
 //! calling [`Router::mark_dead`]. The confirm is what makes the plane
@@ -24,16 +24,18 @@ use wave_serve::faults::{Fault, Faults, Hook};
 
 use crate::router::{NodeHandle, Router};
 
+/// Consecutive missed beats before the confirm-before-kill probe.
+const K_MISSED: u32 = 3;
+
+/// Connect/read timeout for a single probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// Tuning for the heartbeat prober.
 #[derive(Clone, Debug)]
 pub struct HeartbeatOptions {
     /// Base probe interval; actual sleeps jitter in `[interval/2,
     /// 3*interval/2)` from the seed.
     pub interval: Duration,
-    /// Consecutive missed beats before the confirm-before-kill probe.
-    pub k_missed: u32,
-    /// Connect/read timeout for a single probe.
-    pub probe_timeout: Duration,
     /// Seed for the probe jitter (deterministic schedules in drills).
     pub seed: u64,
 }
@@ -42,8 +44,6 @@ impl Default for HeartbeatOptions {
     fn default() -> HeartbeatOptions {
         HeartbeatOptions {
             interval: Duration::from_millis(100),
-            k_missed: 3,
-            probe_timeout: Duration::from_millis(250),
             seed: 0x6265_6174, // "beat"
         }
     }
@@ -148,7 +148,7 @@ fn run(
             if stop.load(Ordering::Relaxed) {
                 return;
             }
-            probe_member(&router, &faults, &opts, &counters, &mut missed, &member);
+            probe_member(&router, &faults, &counters, &mut missed, &member);
         }
     }
 }
@@ -156,7 +156,6 @@ fn run(
 fn probe_member(
     router: &Router,
     faults: &Faults,
-    opts: &HeartbeatOptions,
     counters: &HeartbeatCounters,
     missed: &mut std::collections::HashMap<u32, u32>,
     member: &NodeHandle,
@@ -169,9 +168,9 @@ fn probe_member(
         Fault::Drop | Fault::Corrupt { .. } => false,
         Fault::Delay(d) => {
             std::thread::sleep(d);
-            probe(member, opts.probe_timeout)
+            probe(member)
         }
-        _ => probe(member, opts.probe_timeout),
+        _ => probe(member),
     };
     if beat {
         missed.remove(&member.id);
@@ -181,11 +180,11 @@ fn probe_member(
         let n = missed.entry(member.id).or_insert(0);
         *n += 1;
         router.set_suspect(member.id, *n);
-        if *n >= opts.k_missed {
+        if *n >= K_MISSED {
             // Confirm-before-kill: one synchronous probe that
             // deliberately bypasses the fault plane. A slow node
             // under load is never executed for a dropped packet.
-            if probe(member, opts.probe_timeout) {
+            if probe(member) {
                 counters.confirms_cleared.fetch_add(1, Ordering::Relaxed);
                 missed.remove(&member.id);
                 router.clear_suspect(member.id);
@@ -200,6 +199,6 @@ fn probe_member(
 
 /// One direct probe: fresh connection, `health` round trip. True when
 /// the node answered with a well-formed health reply.
-fn probe(member: &NodeHandle, timeout: Duration) -> bool {
-    TcpClient::connect_timeout(member.addr, timeout).is_ok_and(|mut c| c.health().is_ok())
+fn probe(member: &NodeHandle) -> bool {
+    TcpClient::connect_timeout(member.addr, PROBE_TIMEOUT).is_ok_and(|mut c| c.health().is_ok())
 }

@@ -25,12 +25,8 @@ use crate::shipper::Shipper;
 pub struct FleetOptions {
     /// Worker threads per node.
     pub workers_per_node: usize,
-    /// Result-cache byte budget per node.
-    pub cache_bytes: usize,
     /// Fault plane for the router and shipper (fleet hooks).
     pub fleet_faults: Faults,
-    /// Fault plane for each node's engine (worker/journal hooks).
-    pub node_faults: Faults,
     /// How often the shipper tails and ships journals.
     pub ship_interval: Duration,
     /// Journal directory; a fresh temp dir when `None`.
@@ -44,9 +40,7 @@ impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             workers_per_node: 2,
-            cache_bytes: 8 * 1024 * 1024,
             fleet_faults: Faults::none(),
-            node_faults: Faults::none(),
             ship_interval: Duration::from_millis(100),
             dir: None,
             heartbeat: Some(HeartbeatOptions::default()),
@@ -65,6 +59,16 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// The journal path for node `id` under `dir`.
 pub fn journal_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("node-{id}.ndjson"))
+}
+
+/// Node `id`'s engine, journaling to `journal`.
+fn node_engine(workers: usize, journal: &Path, id: u32) -> Engine {
+    Engine::new(EngineOptions {
+        workers,
+        persist: Some(journal.to_path_buf()),
+        shard: id,
+        ..EngineOptions::default()
+    })
 }
 
 /// An in-process fleet: each node is an [`Engine`] plus a TCP accept
@@ -88,14 +92,7 @@ impl LocalFleet {
         let mut engines = Vec::new();
         for id in 0..n as u32 {
             let journal = journal_path(&dir, id);
-            let engine = Arc::new(Engine::new(EngineOptions {
-                workers: opts.workers_per_node,
-                cache_bytes: opts.cache_bytes,
-                persist: Some(journal.clone()),
-                faults: opts.node_faults.clone(),
-                shard: id,
-                ..EngineOptions::default()
-            }));
+            let engine = Arc::new(node_engine(opts.workers_per_node, &journal, id));
             let server = Server::bind("127.0.0.1:0", Arc::clone(&engine))?;
             let addr = server.local_addr()?;
             std::thread::Builder::new()
@@ -172,14 +169,7 @@ impl LocalFleet {
     /// content.
     pub fn rejoin(&mut self, id: u32) -> io::Result<()> {
         let journal = journal_path(&self.dir, id);
-        let engine = Arc::new(Engine::new(EngineOptions {
-            workers: self.opts.workers_per_node,
-            cache_bytes: self.opts.cache_bytes,
-            persist: Some(journal.clone()),
-            faults: self.opts.node_faults.clone(),
-            shard: id,
-            ..EngineOptions::default()
-        }));
+        let engine = Arc::new(node_engine(self.opts.workers_per_node, &journal, id));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&engine))?;
         let addr = server.local_addr()?;
         std::thread::Builder::new()

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use wave_fleet::local::{FleetOptions, ProcessFleet};
 use wave_fleet::router::Router;
-use wave_serve::client::{ClientError, TcpClient};
+use wave_serve::client::{ClientError, TcpClient, VerifyReply};
 use wave_serve::codec::Request;
 use wave_serve::engine::{Engine, EngineOptions};
 use wave_serve::server::{read_request_line, write_line, Server};
@@ -138,18 +138,7 @@ fn serve_front_conn(stream: TcpStream, router: &Router) {
         }
         let reply = match Request::decode(line) {
             Ok(Request::Verify(req)) => match router.submit(&req) {
-                Ok(r) => format!(
-                    concat!(
-                        "{{\"ok\":true,\"fingerprint\":\"{}\",\"cache_hit\":{},",
-                        "\"class\":\"{}\",\"shard\":{},\"coalesced_waiters\":{},\"outcome\":{}}}"
-                    ),
-                    r.fingerprint.to_hex(),
-                    r.cache_hit,
-                    r.class,
-                    r.shard,
-                    r.coalesced_waiters,
-                    r.outcome_text,
-                ),
+                Ok(r) => verify_reply(&r),
                 Err(e) => error_reply(&e),
             },
             Ok(Request::Stats) => format!("{{\"ok\":true,\"stats\":{}}}", router.fleet_stats()),
@@ -166,6 +155,25 @@ fn serve_front_conn(stream: TcpStream, router: &Router) {
             return;
         }
     }
+}
+
+/// Encodes a routed verify reply as the line a single node would send:
+/// the same envelope keys in the same order, the outcome spliced in
+/// verbatim.
+fn verify_reply(r: &VerifyReply) -> String {
+    format!(
+        concat!(
+            "{{\"ok\":true,\"fingerprint\":\"{}\",\"cache_hit\":{},\"incremental\":{},",
+            "\"class\":\"{}\",\"shard\":{},\"coalesced_waiters\":{},\"outcome\":{}}}"
+        ),
+        r.fingerprint.to_hex(),
+        r.cache_hit,
+        r.incremental,
+        r.class,
+        r.shard,
+        r.coalesced_waiters,
+        r.outcome_text,
+    )
 }
 
 /// Encodes a routing failure as a wire error line.
@@ -211,5 +219,47 @@ fn cmd_flap(args: &[String]) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{} of {} seeds failed", report.failures, seeds))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wave_serve::client::LocalClient;
+    use wave_serve::codec::{Mode, VerifyRequest};
+    use wave_serve::server::handle_line;
+
+    fn fig2(service: &str) -> VerifyRequest {
+        VerifyRequest {
+            service: service.into(),
+            property: "forall p . G (!ship(p) | paid)".into(),
+            mode: Mode::Ltl,
+            node_limit: 0,
+            threads: 1,
+            deadline_us: 0,
+            check_owner: false,
+        }
+    }
+
+    #[test]
+    fn verify_reply_is_the_node_line_and_carries_incremental() {
+        let engine = Arc::new(Engine::new(EngineOptions::default()));
+        let client = LocalClient::new(Arc::clone(&engine));
+        client.verify(&fig2("checkout_core")).unwrap();
+        // checkout_bench only adds toggles outside the property's cone,
+        // so its verdict replays from the tier.
+        let replay = client.verify(&fig2("checkout_bench")).unwrap();
+        assert!(replay.incremental && !replay.cache_hit);
+        let line = verify_reply(&replay);
+        assert!(
+            line.contains("\"cache_hit\":false,\"incremental\":true,"),
+            "{line}"
+        );
+        // A cache hit answers the same bytes every time, so the node's
+        // own line for it is what the front end must send.
+        let node_line = handle_line(&engine, &Request::Verify(fig2("checkout_bench")).encode());
+        let hit = client.verify(&fig2("checkout_bench")).unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(verify_reply(&hit), node_line);
     }
 }

@@ -328,8 +328,6 @@ fn heartbeat_detects_a_silent_sigkill() {
             ship_interval: Duration::from_millis(25),
             heartbeat: Some(HeartbeatOptions {
                 interval: Duration::from_millis(25),
-                k_missed: 3,
-                probe_timeout: Duration::from_millis(250),
                 seed: 0xDEAD,
             }),
             ..FleetOptions::default()

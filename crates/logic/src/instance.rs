@@ -71,11 +71,6 @@ impl Instance {
         self.rels.insert(rel.into(), tuples);
     }
 
-    /// Removes the whole relation `rel` (making it empty).
-    pub fn clear_relation(&mut self, rel: &str) {
-        self.rels.remove(rel);
-    }
-
     /// Interprets constant `name` as `v`.
     pub fn set_constant(&mut self, name: impl Into<String>, v: Value) {
         self.consts.insert(name.into(), v);

@@ -25,10 +25,10 @@
 //! merged by a torn append all fail the frame check and are **skipped
 //! and counted** (`dropped_records`) instead of poisoning the load;
 //! intact records keep loading after the damage (`recovered_records`).
-//! Unframed plain-JSON lines from the v1 format still load. The one
-//! invariant recovery guarantees: a loaded entry's bytes are exactly
-//! the bytes some insert journaled — damage can lose entries, never
-//! alter them (a cache miss is safe; a wrong hit is not).
+//! A line without a frame is dropped the same way. The one invariant
+//! recovery guarantees: a loaded entry's bytes are exactly the bytes
+//! some insert journaled — damage can lose entries, never alter them
+//! (a cache miss is safe; a wrong hit is not).
 //!
 //! The journal is rewritten compacted on load, and again whenever
 //! refreshes and evictions have bloated it past ~4× the byte budget.
@@ -497,29 +497,19 @@ pub fn persist_line(fp: Fingerprint, outcome_bytes: &[u8]) -> String {
 }
 
 /// Decodes one journal line. `None` means the line is damaged (CRC
-/// mismatch, torn frame, malformed JSON) and must be skipped — never
-/// that a damaged line yields altered bytes. Public because the fleet
-/// replication receiver validates shipped frames with the same code
-/// that guards the local journal.
+/// mismatch, torn or missing frame, malformed JSON) and must be skipped
+/// — never that a damaged line yields altered bytes. Public because the
+/// fleet replication receiver validates shipped frames with the same
+/// code that guards the local journal.
 pub fn decode_journal_line(line: &str) -> Option<(Fingerprint, Vec<u8>)> {
-    let bytes = line.as_bytes();
-    // Framed: 8 hex digits, a space, then the payload the CRC covers.
-    let framed =
-        bytes.len() > 9 && bytes[8] == b' ' && bytes[..8].iter().all(u8::is_ascii_hexdigit);
-    let record = if framed {
-        let crc = u32::from_str_radix(&line[..8], 16).ok()?;
-        let payload = &line[9..];
-        if crc32(payload.as_bytes()) != crc {
-            return None;
-        }
-        payload
-    } else if bytes.first() == Some(&b'{') {
-        // Legacy v1: unframed plain JSON. Accepted only when it parses
-        // cleanly end to end.
-        line
-    } else {
+    // The frame: 8 hex digits, a space, then the payload the CRC covers.
+    let (crc, record) = line.split_at_checked(8)?;
+    let record = record.strip_prefix(' ')?;
+    if !crc.bytes().all(|b| b.is_ascii_hexdigit())
+        || u32::from_str_radix(crc, 16).ok()? != crc32(record.as_bytes())
+    {
         return None;
-    };
+    }
     let v = Json::parse(record).ok()?;
     let fp = v
         .get("fingerprint")
@@ -750,19 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_journal_lines_still_load() {
-        let (dir, path) = temp_path("legacy");
+    fn unframed_journal_lines_are_dropped() {
+        let (dir, path) = temp_path("unframed");
         let record = format!(
             "{{\"fingerprint\":\"{}\",\"outcome\":{{\"v\":7}}}}",
             Fingerprint(0x77).to_hex()
         );
-        std::fs::write(&path, format!("{record}\n")).unwrap();
+        let framed = persist_line(fp(0x78), b"{\"v\":8}");
+        std::fs::write(&path, format!("{record}\n{framed}\n")).unwrap();
         let mut c = ResultCache::new(4096).with_persistence(path.clone());
         assert_eq!(c.recovered_records(), 1);
-        assert_eq!(c.get(fp(0x77)).unwrap(), b"{\"v\":7}".to_vec());
-        // The load-time compaction upgraded the line to the framed form.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.as_bytes()[8] == b' ', "rewritten framed: {text}");
+        assert_eq!(c.dropped_records(), 1);
+        assert!(c.get(fp(0x77)).is_none(), "no frame, no entry");
+        assert_eq!(c.get(fp(0x78)).unwrap(), b"{\"v\":8}".to_vec());
         cleanup(&dir, &path);
     }
 

@@ -59,20 +59,15 @@ pub const QUARANTINE_AFTER: u32 = 2;
 pub struct EngineOptions {
     /// Worker threads in the pool (min 1).
     pub workers: usize,
-    /// Bounded queue capacity (pending jobs; min 1).
+    /// Bounded queue capacity (pending jobs; min 1). It is also the
+    /// soft load budget: when `queued + running` reaches it, submits are
+    /// shed with a typed `Overloaded` (retry-after) instead of waiting to
+    /// slam into the hard `QueueFull` wall.
     pub queue_capacity: usize,
     /// Result-cache byte budget.
     pub cache_bytes: usize,
     /// Optional NDJSON persistence file for the cache.
     pub persist: Option<PathBuf>,
-    /// Soft load budget: when `queued + running` reaches this, submits
-    /// are shed with a typed `Overloaded` (retry-after) instead of
-    /// waiting to slam into the hard `QueueFull` wall. `0` derives the
-    /// default (`queue_capacity`).
-    pub soft_load_limit: usize,
-    /// Soft memory budget over `cache bytes + journal bytes`; past it,
-    /// submits are shed with `Overloaded`. `0` disables.
-    pub shed_memory_bytes: usize,
     /// Fault-injection plane consulted at every hook point (inert by
     /// default; installed by `wave-chaos`).
     pub faults: Faults,
@@ -88,8 +83,6 @@ impl Default for EngineOptions {
             queue_capacity: 64,
             cache_bytes: 8 * 1024 * 1024,
             persist: None,
-            soft_load_limit: 0,
-            shed_memory_bytes: 0,
             faults: Faults::none(),
             shard: 0,
         }
@@ -119,8 +112,8 @@ pub enum SubmitError {
     /// The engine is draining: in-flight jobs are finishing, new work
     /// is refused.
     Draining,
-    /// The engine is past its soft load or memory budget; retry after
-    /// the hinted backoff.
+    /// The engine is past its soft load budget; retry after the hinted
+    /// backoff.
     Overloaded {
         /// Suggested client backoff before resubmitting.
         retry_after_ms: u64,
@@ -229,7 +222,7 @@ pub struct Counters {
     pub quarantined: AtomicU64,
     /// Submissions refused because the engine was draining.
     pub drain_rejections: AtomicU64,
-    /// Submissions shed with `Overloaded` under the soft budgets.
+    /// Submissions shed with `Overloaded` under the soft load budget.
     pub load_shed: AtomicU64,
     /// Submissions answered by joining an identical in-flight run
     /// instead of verifying (followers of a coalesced run), including
@@ -382,8 +375,8 @@ pub struct Engine {
     cache: Mutex<ResultCache>,
     sched: Scheduler,
     faults: Faults,
+    /// `queue_capacity`: at this load, submits are shed.
     soft_load_limit: usize,
-    shed_memory_bytes: usize,
     draining: AtomicBool,
     /// Submissions currently between acceptance and completion (cache
     /// misses only — hits never occupy a worker).
@@ -483,32 +476,23 @@ impl Engine {
     /// the persisted cache.
     pub fn new(opts: EngineOptions) -> Engine {
         let mut cache = ResultCache::new(opts.cache_bytes).with_faults(opts.faults.clone());
-        // The tiers journal to siblings of the result journal and stay
-        // outside the fault plane: chaos campaigns target the result
-        // journal's write counts, and a broken tier can only cost a
-        // cold run anyway.
-        let tiers = crate::tiers::TierStore::new(opts.cache_bytes, opts.persist.as_deref());
         if let Some(path) = opts.persist {
             cache = cache.with_persistence(path);
         }
-        let soft_load_limit = if opts.soft_load_limit == 0 {
-            opts.queue_capacity.max(1)
-        } else {
-            opts.soft_load_limit
-        };
         Engine {
             cache: Mutex::new(cache),
             sched: Scheduler::new(opts.workers, opts.queue_capacity),
             faults: opts.faults,
-            soft_load_limit,
-            shed_memory_bytes: opts.shed_memory_bytes,
+            soft_load_limit: opts.queue_capacity.max(1),
             draining: AtomicBool::new(false),
             inflight: Mutex::new(0),
             idle: Condvar::new(),
             panics: Mutex::new(HashMap::new()),
             runs: Mutex::new(HashMap::new()),
             shard: opts.shard,
-            tiers,
+            // In memory only: the result journal is the one store a
+            // restart reloads.
+            tiers: crate::tiers::TierStore::new(opts.cache_bytes, None),
             counters: Counters::default(),
         }
     }
@@ -610,18 +594,9 @@ impl Engine {
     /// should shed this submission.
     fn overloaded(&self) -> Option<u64> {
         let load = self.sched.load();
-        if load >= self.soft_load_limit {
-            // Hint grows with the backlog, capped at 2 s.
-            let excess = (load - self.soft_load_limit) as u64;
-            return Some((100 + excess * 50).min(2_000));
-        }
-        if self.shed_memory_bytes > 0 {
-            let c = self.cache.lock().expect("cache poisoned");
-            if c.bytes() + c.journal_bytes() > self.shed_memory_bytes {
-                return Some(1_000);
-            }
-        }
-        None
+        // Hint grows with the backlog, capped at 2 s.
+        let excess = load.checked_sub(self.soft_load_limit)? as u64;
+        Some((100 + excess * 50).min(2_000))
     }
 
     /// True when `fp` is quarantined by repeated worker panics.
@@ -1537,13 +1512,14 @@ mod tests {
 
     #[test]
     fn soft_load_limit_sheds_with_retry_after() {
-        // A 1-worker engine with a soft load limit of 1: while one job
-        // occupies the worker, any further submit is shed with a typed
-        // retry-after. The first job is pinned down by an injected
-        // delay, so the busy window is deterministic.
+        // A 1-worker engine with a queue capacity, and so a soft load
+        // limit, of 1: while one job occupies the worker, any further
+        // submit is shed with a typed retry-after. The first job is
+        // pinned down by an injected delay, so the busy window is
+        // deterministic.
         let e = Arc::new(Engine::new(EngineOptions {
             workers: 1,
-            soft_load_limit: 1,
+            queue_capacity: 1,
             faults: Faults::new(Arc::new(DelayFirstJob(std::sync::Mutex::new(true)))),
             ..EngineOptions::default()
         }));
@@ -1856,23 +1832,14 @@ mod tests {
         );
         drop(e);
 
-        // Only the result journal and the verdict-tier journal (with
-        // their generation sidecars) are on disk: no automaton journal.
-        let journals: Vec<_> = std::fs::read_dir(&dir)
+        // Only the result journal and its generation sidecar are on
+        // disk: neither tier journals.
+        let mut journals: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|f| f.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert!(journals.iter().any(|n| n == "cache.verdicts.ndjson"));
-        let expected = [
-            "cache.ndjson",
-            "cache.ndjson.gen",
-            "cache.verdicts.ndjson",
-            "cache.verdicts.ndjson.gen",
-        ];
-        assert!(
-            journals.iter().all(|n| expected.contains(&n.as_str())),
-            "{journals:?}"
-        );
+        journals.sort();
+        assert_eq!(journals, ["cache.ndjson", "cache.ndjson.gen"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1950,12 +1917,13 @@ mod tests {
         let poisoned = panicky.submit(&r).unwrap();
         assert_eq!(decode(&poisoned.outcome_bytes).verdict, Verdict::Poisoned);
 
-        // One worker, a soft load limit of two and slow jobs: a leader, a
-        // follower that waits for it, a follower that leaves on its own
-        // deadline, a second leader queued behind the first, and a shed.
+        // One worker, a queue capacity (so a soft load limit) of two and
+        // slow jobs: a leader, a follower that waits for it, a follower
+        // that leaves on its own deadline, a second leader queued behind
+        // the first, and a shed.
         let busy = Arc::new(Engine::new(EngineOptions {
             workers: 1,
-            soft_load_limit: 2,
+            queue_capacity: 2,
             faults: Faults::new(Arc::new(DelayEveryJob(Duration::from_millis(800)))),
             ..EngineOptions::default()
         }));

@@ -620,6 +620,34 @@ mod tests {
     }
 
     #[test]
+    fn replicate_drops_a_record_without_a_crc_frame() {
+        use wave_logic::fingerprint::Fingerprint;
+
+        // A well-formed record a peer sends without its CRC frame has no
+        // integrity check, so it is dropped and counted, never installed.
+        let src = Engine::new(EngineOptions::default());
+        let line = r#"{"cmd":"verify","service":"toggle","property":"G (P | Q)"}"#;
+        let r = Json::parse(&handle_line(&src, line)).unwrap();
+        let fp = Fingerprint::from_hex(r.get("fingerprint").unwrap().as_str().unwrap()).unwrap();
+        let unframed = format!(
+            "{{\"fingerprint\":\"{}\",\"outcome\":{}}}",
+            fp.to_hex(),
+            r.get("outcome").unwrap().encode()
+        );
+        let dst = Engine::new(EngineOptions::default());
+        let req = Request::Replicate {
+            lines: vec![unframed],
+        }
+        .encode();
+        let reply = Json::parse(&handle_line(&dst, &req)).unwrap();
+        assert_eq!(reply.get("applied").unwrap().as_int(), Some(0));
+        assert_eq!(reply.get("dropped").unwrap().as_int(), Some(1));
+        assert_eq!(dst.counters.replicated_dropped.load(Ordering::Relaxed), 1);
+        let r2 = Json::parse(&handle_line(&dst, line)).unwrap();
+        assert_eq!(r2.get("cache_hit").unwrap().as_bool(), Some(false));
+    }
+
+    #[test]
     fn inadmissible_submit_returns_the_lint_report() {
         let e = Engine::new(EngineOptions::default());
         let line = r#"{"cmd":"verify","service":"unrestricted","property":"G s"}"#;

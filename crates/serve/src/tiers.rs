@@ -41,13 +41,16 @@
 //!
 //! # Persistence and failure model
 //!
-//! The verdict tier is a plain [`ResultCache`], persisted as a
-//! CRC-framed `*.verdicts.ndjson` journal next to the engine's result
-//! journal, with the same recovery and compaction guarantees. Values
-//! are the verdict's canonical wire encoding, so journaled bytes replay
-//! verbatim. A torn or corrupted tier line is dropped at load (CRC
-//! framing), a damaged value decodes to a miss: the worst a broken tier
-//! journal can cause is a cold run, never a wrong verdict.
+//! Both tiers live in memory only. A verdict is a pure function of its
+//! key, so every tier entry is a cache that a cold run can recompute;
+//! the one store that must survive a restart is the engine's result
+//! journal, which also feeds fleet replication. After a restart an
+//! exact resubmit still replays from that journal, while the first
+//! out-of-cone edit of each cone runs cold once and refills the tier.
+//! The verdict tier is a plain [`ResultCache`] holding the verdict's
+//! canonical wire encoding, so a replay returns the bytes the cold run
+//! produced, and a value that fails to decode is a miss: a cold run,
+//! never a wrong verdict.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,18 +110,14 @@ pub struct TierStore {
 }
 
 impl TierStore {
-    /// Builds the tier store. `persist` is the engine's *result*
-    /// journal path; the verdict tier journals to its
-    /// `.verdicts.ndjson` sibling (extension replaced). Without
-    /// persistence the verdict tier still works in-memory — edits
-    /// within one process lifetime replay; restarts run cold.
-    pub fn new(cache_bytes: usize, persist: Option<&Path>) -> TierStore {
-        let mut verdicts = ResultCache::new(cache_bytes);
-        if let Some(path) = persist {
-            verdicts = verdicts.with_persistence(path.with_extension("verdicts.ndjson"));
-        }
+    /// Builds the tier store, its verdict tier bounded by
+    /// `cache_bytes`. `persist` is ignored: both tiers live in memory
+    /// only, so edits within one process lifetime replay and a restart
+    /// runs each cone cold once. The argument stays until its last
+    /// caller drops it.
+    pub fn new(cache_bytes: usize, _persist: Option<&Path>) -> TierStore {
         TierStore {
-            verdicts: Mutex::new(verdicts),
+            verdicts: Mutex::new(ResultCache::new(cache_bytes)),
             automata: Arc::new(AutomatonCache::new()),
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
@@ -145,8 +144,8 @@ impl TierStore {
             verdict_from_json(&Json::parse(text).ok()?).ok()
         });
         match verdict {
-            // Defense in depth: inconclusive verdicts are never stored,
-            // but a hand-edited journal must still not replay one.
+            // Defense in depth: `store_verdict` already refuses
+            // inconclusive verdicts.
             Some(v) if !matches!(v, Verdict::Cancelled | Verdict::Poisoned) => {
                 self.verdict_hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
@@ -166,11 +165,10 @@ impl TierStore {
             return;
         }
         let bytes = verdict_to_json(verdict).encode().into_bytes();
-        let mut tier = self.verdicts.lock().expect("verdict tier poisoned");
-        if tier.peek_identical(key, &bytes) {
-            return; // already journaled verbatim
-        }
-        tier.insert(key, bytes);
+        self.verdicts
+            .lock()
+            .expect("verdict tier poisoned")
+            .insert(key, bytes);
     }
 
     /// Does nothing: the automaton tier lives in memory only. Kept so
@@ -227,22 +225,19 @@ mod tests {
     }
 
     #[test]
-    fn verdict_tier_persists_and_reloads_across_restarts() {
+    fn verdict_tier_creates_no_file_even_with_a_journal_path() {
         let dir = std::env::temp_dir().join(format!("wave_tiers_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("node-0.ndjson");
-        {
-            let store = TierStore::new(64 * 1024, Some(&journal));
-            store.store_verdict(Fingerprint(3), &Verdict::Holds { explored: 4 });
-        }
-        assert!(journal.with_extension("verdicts.ndjson").exists());
-        {
-            let store = TierStore::new(64 * 1024, Some(&journal));
-            assert_eq!(
-                store.probe_verdict(Fingerprint(3)),
-                Some(Verdict::Holds { explored: 4 })
-            );
-        }
+        let store = TierStore::new(64 * 1024, Some(&journal));
+        store.store_verdict(Fingerprint(3), &Verdict::Holds { explored: 4 });
+        assert_eq!(
+            store.probe_verdict(Fingerprint(3)),
+            Some(Verdict::Holds { explored: 4 })
+        );
+        drop(store);
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(files.is_empty(), "{files:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
